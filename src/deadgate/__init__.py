@@ -25,10 +25,7 @@ from .eliminate import (
     OptimizationReport,
     RemovalRule,
     RuleFlags,
-    apply_removal,
-    complexity_probe,
     eliminate_dead_gates,
-    is_dead_gate,
 )
 from .oracle import (
     Distribution,
@@ -63,17 +60,14 @@ __all__ = [
     "SourceCircuit",
     "Statevector",
     "Swap",
-    "apply_removal",
     "basis_state",
     "bind_opaques",
     "build_circuit",
     "check_equiv",
     "check_equiv_extended",
     "check_marginal_equiv",
-    "complexity_probe",
     "eliminate_dead_gates",
     "haar_unitary",
-    "is_dead_gate",
     "marginal",
     "parse",
     "random_state",

@@ -137,7 +137,7 @@ class Gate:
 class Circuit:
     """Gate list over n wires with dead set and outcome map.
 
-    Treated as immutable: the mutating operations return new circuits.
+    Treated as immutable: passes return new circuits.
     """
 
     __slots__ = ("n", "gates", "dead", "outcome_map")
@@ -153,12 +153,6 @@ class Circuit:
         self.gates = gates
         self.dead = dead
         self.outcome_map = outcome_map
-
-    def gate(self, gid: int) -> Gate:
-        for g in self.gates:
-            if g.id == gid:
-                return g
-        raise CircuitError(f"no gate with id {gid}")
 
     def frontier(self) -> set[int]:
         """Ids of gates that are last on every wire they touch."""
@@ -180,22 +174,6 @@ class Circuit:
             if unseen == 0:
                 break
         return out
-
-    def last_gate_on_wire(self, q: int) -> int | None:
-        """Id of the program-latest gate touching wire q, or None."""
-        if not 0 <= q < self.n:
-            raise CircuitError(f"qubit q[{q}] out of range for {self.n}-qubit circuit")
-        for g in reversed(self.gates):
-            if q in g.qubits:
-                return g.id
-        return None
-
-    def remove_gate(self, gid: int) -> "Circuit":
-        """Copy of the circuit without gate `gid`; dead set and map unchanged."""
-        kept = tuple(g for g in self.gates if g.id != gid)
-        if len(kept) == len(self.gates):
-            raise CircuitError(f"no gate with id {gid}")
-        return Circuit(self.n, kept, self.dead, self.outcome_map)
 
     def opaque_labels(self) -> dict[str, int]:
         """Labels of opaque blocks in the circuit, mapped to their arity."""

@@ -87,6 +87,9 @@ def _load(path: Path):
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return None
     try:
         return parse(text)
     except QasmError as exc:
@@ -142,6 +145,10 @@ def _print_verdict(verdict: EquivalenceVerdict, samples: int, tol: float) -> int
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        # with no sample there is no evidence of equivalence
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     a = _load(args.a)
     b = _load(args.b)
     if a is None or b is None:

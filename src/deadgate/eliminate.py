@@ -8,12 +8,22 @@ Removal rules, applied only to frontier gates:
         and updates the outcome map) or with both endpoints dead
     R4  extension, off by default: any gate all of whose wires are dead
 
-The pass sweeps the frontier repeatedly until a sweep removes nothing
-(that final empty sweep is included in the iteration count). Within a
-sweep, the frontier snapshot taken at sweep start is examined in
-ascending gate id; gates that newly enter the frontier mid-sweep wait for
-the next sweep. Frontier gates never share wires, so a SWAP relabel only
-affects rule checks from the next sweep on.
+The result is defined by a frontier sweep: sweep the frontier repeatedly
+until a sweep removes nothing (that final empty sweep is included in the
+iteration count). Within a sweep, the frontier snapshot taken at sweep
+start is examined in ascending gate id; gates that newly enter the
+frontier mid-sweep wait for the next sweep.
+
+The pass computes that result in one walk from the last gate back to the
+first. Frontier gates never share wires, and only SWAPs on a gate's own
+wires change those wires' deadness; those SWAPs are later gates, removed
+before the gate enters the frontier. So a gate's rule is fixed when it
+enters the frontier, at sweep 1 + the latest removal sweep among the later
+gates on its wires. A gate it does not match stays in the frontier for
+good and blocks every earlier gate on its wires, and the walk stops once
+every wire is blocked. The report's removal order, sweep count and rule
+checks are those the sweep makes, so `gate_checks` still meets the sweep's
+g*(g+1) bound.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit, CircuitError, Controlled, Gate, SingleQubit, Swap
+from .circuit import Circuit, Controlled, SingleQubit, Swap
 
 
 class RemovalRule(enum.Enum):
@@ -87,15 +97,6 @@ def _match_rule(kind, dead: frozenset[int], flags: RuleFlags) -> RemovalRule | N
     return None
 
 
-def is_dead_gate(
-    c: Circuit, gid: int, flags: RuleFlags = RuleFlags()
-) -> RemovalRule | None:
-    """Rule under which frontier gate `gid` is removable, or None."""
-    if gid not in c.frontier():
-        raise CircuitError(f"gate {gid} is not in the frontier")
-    return _match_rule(c.gate(gid).kind, c.dead, flags)
-
-
 def _relabel_after_swap(
     kind: Swap, dead: frozenset[int], outcome_map: tuple[int, ...]
 ) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -113,57 +114,60 @@ def _relabel_after_swap(
     return frozenset(new_dead), tuple(swapped.get(w, w) for w in outcome_map)
 
 
-def apply_removal(c: Circuit, gid: int, rule: RemovalRule) -> Circuit:
-    """Remove `gid`, updating dead set and outcome map when R3 demands it."""
-    actual = is_dead_gate(c, gid)
-    if actual is None and rule is RemovalRule.R4:
-        actual = is_dead_gate(c, gid, RuleFlags(extended=True))
-    if actual is not rule:
-        raise CircuitError(
-            f"gate {gid} does not match rule {rule.value} (got {actual})"
-        )
-    kind = c.gate(gid).kind
-    out = c.remove_gate(gid)
-    if rule is RemovalRule.R3:
-        dead, outcome_map = _relabel_after_swap(kind, out.dead, out.outcome_map)
-        out = Circuit(out.n, out.gates, dead, outcome_map)
-    return out
-
-
 def eliminate_dead_gates(
     c: Circuit, flags: RuleFlags = RuleFlags()
 ) -> tuple[Circuit, OptimizationReport]:
-    """Run the removal fixpoint; returns the optimized circuit and a report."""
-    gates: list[Gate] = list(c.gates)
+    """Remove dead gates; returns the optimized circuit and a report."""
+    n = c.n
+    blocked = bytearray(n)
+    unblocked = n
+    # latest removal sweep among the gates walked on each wire, 0 if none
+    wire_sweep = [0] * n
     dead = c.dead
     outcome_map = c.outcome_map
-    removed: list[RemovedGate] = []
-    iterations = 0
-    gate_checks = 0
-
-    while True:
-        iterations += 1
-        snapshot = sorted(_frontier_ids(gates, c.n))
-        dropped: set[int] = set()
-        by_id = {g.id: g for g in gates}
-        for gid in snapshot:
-            gate_checks += 1
-            kind = by_id[gid].kind
-            rule = _match_rule(kind, dead, flags)
-            if rule is None:
-                continue
-            dropped.add(gid)
-            if rule is RemovalRule.R3:
-                dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
-            removed.append(RemovedGate(gid, kind.summary(), rule.value))
-        if not dropped:
+    removed: list[tuple[int, int, RemovedGate]] = []
+    kept_entries: list[int] = []
+    walked = 0
+    for g in reversed(c.gates):
+        if not unblocked:
             break
-        gates = [g for g in gates if g.id not in dropped]
+        walked += 1
+        qs = g.qubits
+        if any(blocked[q] for q in qs):
+            for q in qs:
+                if not blocked[q]:
+                    blocked[q] = 1
+                    unblocked -= 1
+            continue
+        entry = 1 + max(wire_sweep[q] for q in qs)
+        kind = g.kind
+        rule = _match_rule(kind, dead, flags)
+        if rule is None:
+            kept_entries.append(entry)
+            for q in qs:
+                blocked[q] = 1
+            unblocked -= len(qs)
+            continue
+        for q in qs:
+            wire_sweep[q] = entry
+        if rule is RemovalRule.R3:
+            dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
+        removed.append((entry, g.id, RemovedGate(g.id, kind.summary(), rule.value)))
+
+    removed.sort(key=lambda r: (r[0], r[1]))
+    iterations = removed[-1][0] + 1 if removed else 1
+    # each removed gate is checked once, in the sweep that removes it; a
+    # kept frontier gate is checked in every sweep from its entry on
+    gate_checks = len(removed) + sum(iterations - e + 1 for e in kept_entries)
+    # every removed gate lies in the walked tail
+    dropped = {gid for _, gid, _ in removed}
+    stop = len(c.gates) - walked
+    gates = c.gates[:stop] + tuple(g for g in c.gates[stop:] if g.id not in dropped)
 
     n0 = len(c.gates)
     assert gate_checks <= n0 * (n0 + 1), "quadratic sweep bound violated"
     report = OptimizationReport(
-        removed=removed,
+        removed=[r for _, _, r in removed],
         iterations=iterations,
         initial_gate_count=n0,
         final_gate_count=len(gates),
@@ -171,33 +175,4 @@ def eliminate_dead_gates(
         outcome_map=list(outcome_map),
         gate_checks=gate_checks,
     )
-    return Circuit(c.n, tuple(gates), dead, outcome_map), report
-
-
-def _frontier_ids(gates: list[Gate], n: int) -> set[int]:
-    seen = bytearray(n)
-    unseen = n
-    out: set[int] = set()
-    for g in reversed(gates):
-        fresh = True
-        for q in g.qubits:
-            if seen[q]:
-                fresh = False
-                break
-        if fresh:
-            out.add(g.id)
-        for q in g.qubits:
-            if not seen[q]:
-                seen[q] = 1
-                unseen -= 1
-        if unseen == 0:
-            break
-    return out
-
-
-def complexity_probe(
-    c: Circuit, flags: RuleFlags = RuleFlags()
-) -> tuple[int, int]:
-    """(dead-gate checks performed, sweeps run) for one elimination run."""
-    _, report = eliminate_dead_gates(c, flags)
-    return report.gate_checks, report.iterations
+    return Circuit(c.n, gates, dead, outcome_map), report

@@ -15,10 +15,11 @@ Grammar (one statement per line, ';'-terminated, '//' comments):
     #pragma dge discard q[i]         // outcome of wire i is discarded
 
 A wire is dead iff it is never measured or appears in a discard pragma.
-Angles accept float literals and pi expressions (+ - * / parentheses);
-serialization emits 17 significant digits so doubles round-trip. cz and
-ccz pick their highest-indexed wire as the represented target, which is
-sound by symmetry and keeps reports deterministic.
+Angles accept float literals and pi expressions (+ - * / parentheses)
+whose every value is finite; serialization emits 17 significant digits
+so doubles round-trip. cz and ccz pick their highest-indexed wire as the
+represented target, which is sound by symmetry and keeps reports
+deterministic.
 """
 
 from __future__ import annotations
@@ -92,17 +93,29 @@ def _strip_comment(line: str) -> str:
 
 
 class _AngleParser:
-    """Tiny recursive-descent evaluator for pi arithmetic in gate params."""
+    """Tiny recursive-descent evaluator for pi arithmetic in gate params.
+
+    Every value must be finite, so that it serializes and parses back, and
+    nesting is capped, so that the recursion cannot overflow the stack.
+    """
+
+    MAX_DEPTH = 100
 
     def __init__(self, text: str, line: int) -> None:
         self.toks = re.findall(r"pi|\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
                                r"|\d+(?:[eE][-+]?\d+)?|[()+\-*/]|\S", text)
         self.pos = 0
+        self.depth = 0
         self.line = line
         self.text = text
 
-    def fail(self) -> QasmError:
-        return QasmError(self.line, f"cannot parse angle {self.text!r}")
+    def fail(self, why: str = "") -> QasmError:
+        return QasmError(self.line, f"cannot parse angle {self.text!r}" + why)
+
+    def finite(self, val: float) -> float:
+        if not math.isfinite(val):
+            raise self.fail(": value is not finite")
+        return val
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -124,37 +137,44 @@ class _AngleParser:
         val = self.term()
         while self.peek() in ("+", "-"):
             if self.next() == "+":
-                val += self.term()
+                val = self.finite(val + self.term())
             else:
-                val -= self.term()
+                val = self.finite(val - self.term())
         return val
 
     def term(self) -> float:
         val = self.factor()
         while self.peek() in ("*", "/"):
             if self.next() == "*":
-                val *= self.factor()
+                val = self.finite(val * self.factor())
             else:
-                val /= self.factor()
+                divisor = self.factor()
+                if divisor == 0:
+                    raise self.fail(": division by zero")
+                val = self.finite(val / divisor)
         return val
 
     def factor(self) -> float:
         tok = self.next()
-        if tok == "-":
-            return -self.factor()
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            val = self.expr()
-            if self.next() != ")":
-                raise self.fail()
-            return val
+        if tok in ("-", "+", "("):
+            self.depth += 1
+            if self.depth > self.MAX_DEPTH:
+                raise self.fail(f": nested deeper than {self.MAX_DEPTH}")
+            if tok == "(":
+                val = self.expr()
+                if self.next() != ")":
+                    raise self.fail()
+            else:
+                val = self.factor()
+            self.depth -= 1
+            return -val if tok == "-" else val
         if tok == "pi":
             return math.pi
         try:
-            return float(tok)
+            val = float(tok)
         except ValueError:
             raise self.fail() from None
+        return self.finite(val)
 
 
 def _parse_angles(text: str, line: int) -> tuple[float, ...]:

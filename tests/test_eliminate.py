@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadgate import (
     Circuit,
@@ -10,16 +12,20 @@ from deadgate import (
     RuleFlags,
     SingleQubit,
     Swap,
-    apply_removal,
     bind_opaques,
     build_circuit,
     check_marginal_equiv,
-    complexity_probe,
     eliminate_dead_gates,
-    is_dead_gate,
 )
 from deadgate.bench import DeadMode, random_circuit, select_dead
+from deadgate.circuit import BASE_PARAMS
 
+from sweep_reference import (
+    apply_removal,
+    complexity_probe,
+    is_dead_gate,
+    sweep_eliminate,
+)
 from test_circuit import fig2_kinds
 
 
@@ -242,3 +248,82 @@ class TestComplexityProbe:
         c = qpe_instance(m=4, r=2).circuit
         checks, sweeps = complexity_probe(c)
         assert sweeps == 6  # one per removed chain gate plus the final sweep
+
+
+ALL_FLAGS = [
+    RuleFlags(extended=e, swap_relabel=s) for e in (False, True) for s in (True, False)
+]
+
+
+def assert_matches_sweep(c: Circuit, flags: RuleFlags) -> None:
+    fast, report = eliminate_dead_gates(c, flags)
+    ref, ref_report = sweep_eliminate(c, flags)
+    assert fast == ref
+    assert report.to_json() == ref_report.to_json()
+
+
+@st.composite
+def wires(draw, n: int, k: int) -> tuple[int, ...]:
+    return tuple(draw(st.permutations(range(n)))[:k])
+
+
+@st.composite
+def gate_kinds(draw, n: int) -> list:
+    """One gate, or a chain of SWAPs that walks deadness across wires."""
+    shapes = ["single", "opaque"] + (["controlled", "swap", "swap_chain"] if n > 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "single":
+        base = draw(st.sampled_from(sorted(BASE_PARAMS)))
+        params = tuple(draw(st.floats(-7, 7)) for _ in range(BASE_PARAMS[base]))
+        return [SingleQubit(base, draw(st.integers(0, n - 1)), params)]
+    if shape == "opaque":
+        ws = draw(wires(n, draw(st.integers(1, min(n, 3)))))
+        return [Opaque(f"B{len(ws)}", ws)]
+    if shape == "controlled":
+        base = draw(st.sampled_from(["X", "Y", "Z", "RZ"]))
+        params = (draw(st.floats(-7, 7)),) if base == "RZ" else ()
+        *controls, target = draw(wires(n, draw(st.integers(2, min(n, 3)))))
+        return [Controlled(base, tuple(controls), target, params)]
+    if shape == "swap":
+        return [Swap(*draw(wires(n, 2)))]
+    path = draw(wires(n, draw(st.integers(2, n))))
+    return [Swap(a, b) for a, b in zip(path, path[1:])]
+
+
+@st.composite
+def dead_circuits(draw) -> Circuit:
+    n = draw(st.integers(1, 14))
+    groups = draw(st.lists(gate_kinds(n), max_size=40))
+    dead = draw(st.sets(st.integers(0, n - 1)))
+    return build_circuit(n, [k for group in groups for k in group], dead)
+
+
+class TestLinearPassMatchesSweep:
+    """The one-pass elimination against the frontier-sweep reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(c=dead_circuits(), flags=st.sampled_from(ALL_FLAGS))
+    def test_random_circuits(self, c, flags):
+        assert_matches_sweep(c, flags)
+
+    @pytest.mark.parametrize("mode", ["fixed:1", "pct:10", "pct:20", "pct:75"])
+    def test_bench_circuits_at_every_width(self, mode):
+        for w in range(2, 41):
+            for i in range(2):
+                c = random_circuit(w, 100 * w, 0.1, seed=(71, w, i))
+                c = with_dead(c, select_dead(w, DeadMode.parse(mode), seed=(72, w, i)))
+                assert_matches_sweep(c, ALL_FLAGS[(w + i) % 4])
+
+    @pytest.mark.parametrize("g", [1, 64, 8000])
+    def test_dead_chain_closed_forms(self, g):
+        # a live H, then g gates on dead wire 0: one removal per sweep from
+        # the back, while the H is checked in every sweep
+        chain = [SingleQubit(("H", "T", "S", "X")[i % 4], 0) for i in range(g)]
+        c = build_circuit(2, [SingleQubit("H", 1), *chain], dead={0})
+        opt, rep = eliminate_dead_gates(c)
+        assert [r.id for r in rep.removed] == list(range(g, 0, -1))
+        assert rep.iterations == g + 1
+        assert rep.gate_checks == g + (g + 1)
+        assert [gt.id for gt in opt.gates] == [0]
+        if g <= 64:
+            assert_matches_sweep(c, RuleFlags())
