@@ -28,26 +28,18 @@ from .eliminate import (
     eliminate_dead_gates,
 )
 from .oracle import (
-    Distribution,
     EquivalenceVerdict,
-    Statevector,
-    basis_state,
     bind_opaques,
-    check_equiv,
-    check_equiv_extended,
     check_marginal_equiv,
     haar_unitary,
-    marginal,
     random_state,
-    simulate,
 )
-from .qasm import QasmError, SourceCircuit, parse, serialize, source_from_circuit
+from .qasm import QasmError, SourceCircuit, parse, serialize
 
 __all__ = [
     "Circuit",
     "CircuitError",
     "Controlled",
-    "Distribution",
     "EquivalenceVerdict",
     "Gate",
     "GateKind",
@@ -58,20 +50,13 @@ __all__ = [
     "RuleFlags",
     "SingleQubit",
     "SourceCircuit",
-    "Statevector",
     "Swap",
-    "basis_state",
     "bind_opaques",
     "build_circuit",
-    "check_equiv",
-    "check_equiv_extended",
     "check_marginal_equiv",
     "eliminate_dead_gates",
     "haar_unitary",
-    "marginal",
     "parse",
     "random_state",
     "serialize",
-    "simulate",
-    "source_from_circuit",
 ]

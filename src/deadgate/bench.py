@@ -15,6 +15,7 @@ one nondeterministic output; pass measure_time=False to pin CSV bytes.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -90,6 +91,12 @@ class BenchConfig:
         bad = set(self.palette) - set(DEFAULT_PALETTE)
         if bad or not self.palette:
             raise ValueError(f"unsupported two-qubit palette entries: {sorted(bad)}")
+        f = self.verify_fraction
+        # run_bench spot-verifies every round(1/f)-th candidate block
+        if not 0 <= f <= 1 or (f > 0 and math.isinf(1 / f)):
+            raise ValueError(
+                f"verify fraction must be in [0, 1] with a finite 1/fraction, got {f}"
+            )
 
 
 @dataclass(slots=True)

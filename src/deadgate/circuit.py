@@ -154,27 +154,6 @@ class Circuit:
         self.dead = dead
         self.outcome_map = outcome_map
 
-    def frontier(self) -> set[int]:
-        """Ids of gates that are last on every wire they touch."""
-        seen = bytearray(self.n)
-        unseen = self.n
-        out: set[int] = set()
-        for g in reversed(self.gates):
-            fresh = True
-            for q in g.qubits:
-                if seen[q]:
-                    fresh = False
-                    break
-            if fresh:
-                out.add(g.id)
-            for q in g.qubits:
-                if not seen[q]:
-                    seen[q] = 1
-                    unseen -= 1
-            if unseen == 0:
-                break
-        return out
-
     def opaque_labels(self) -> dict[str, int]:
         """Labels of opaque blocks in the circuit, mapped to their arity."""
         labels: dict[str, int] = {}

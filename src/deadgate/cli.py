@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import BenchConfig, DeadMode, manifest_json, run_bench
-from .circuit import CircuitError
+from .circuit import Circuit, CircuitError
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .oracle import (
     DEFAULT_QUBIT_CAP,
@@ -20,7 +20,6 @@ from .oracle import (
     DEFAULT_TOL,
     EquivalenceVerdict,
     bind_opaques,
-    check_equiv_extended,
     check_marginal_equiv,
 )
 from .qasm import DIALECT_VERSION, QasmError, parse, serialize
@@ -125,11 +124,38 @@ def cmd_optimize(args) -> int:
 
 
 def _parse_pairing(text: str) -> dict[int, int]:
-    pairing = {}
+    """`--map i:j,...` as {i: j}; no wire may be named twice on a side."""
+    pairing: dict[int, int] = {}
     for item in text.split(","):
-        left, _, right = item.partition(":")
-        pairing[int(left)] = int(right)
+        try:
+            left, right = (int(part) for part in item.split(":"))
+        except ValueError:
+            raise ValueError(f"--map item {item!r} is not of the form i:j") from None
+        if left in pairing or right in pairing.values():
+            raise ValueError(f"--map names a wire twice in {item!r}")
+        pairing[left] = right
     return pairing
+
+
+def _paired_wires(
+    ca: Circuit, cb: Circuit, pairing: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """A's kept wires ascending, and B's wires to compare them with.
+
+    `pairing` maps each wire dead only in A to its replacement dead only in
+    B; B is read on A's kept wires with each such replacement's partner
+    swapped in.
+    """
+    dead_a, dead_b = ca.dead, cb.dead
+    if len(dead_a) != len(dead_b):
+        raise ValueError("dead sets must have equal size")
+    if set(pairing) != dead_a - dead_b or set(pairing.values()) != dead_b - dead_a:
+        raise ValueError(
+            "pairing must be a bijection between the dead wires unique to each side"
+        )
+    subst = {j: i for i, j in pairing.items()}
+    kept = [q for q in range(ca.n) if q not in dead_a]
+    return kept, [subst.get(q, q) for q in kept]
 
 
 def _print_verdict(verdict: EquivalenceVerdict, samples: int, tol: float) -> int:
@@ -149,6 +175,11 @@ def cmd_verify(args) -> int:
         # with no sample there is no evidence of equivalence
         print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
+    if not 0 <= args.tol < 1:
+        # a gap between probabilities is below 1, so a tolerance of 1 or
+        # more accepts every pair; a negative or NaN one accepts none
+        print(f"--tol must be finite and in [0, 1), got {args.tol}", file=sys.stderr)
+        return 2
     a = _load(args.a)
     b = _load(args.b)
     if a is None or b is None:
@@ -163,26 +194,23 @@ def cmd_verify(args) -> int:
     try:
         bindings = bind_opaques([ca, cb], seed=args.seed)
         if args.pairing is not None:
-            verdict = check_equiv_extended(
-                ca, cb, ca.dead, cb.dead, _parse_pairing(args.pairing),
-                samples=args.samples, seed=args.seed, tol=args.tol,
-                bindings=bindings, cap=args.qubit_limit,
-            )
-            return _print_verdict(verdict, args.samples, args.tol)
-        # Compare the joint distribution of the kept classical bits; each
-        # file's measure statements say which wire carries which bit.
-        kept_a = {c: w for w, c in a.measures if w not in ca.dead}
-        kept_b = {c: w for w, c in b.measures if w not in cb.dead}
-        if set(kept_a) != set(kept_b):
-            print(
-                "kept classical bits differ between the files; "
-                "use --map for relabeled comparisons",
-                file=sys.stderr,
-            )
-            return 2
-        bits = sorted(kept_a)
+            wires_a, wires_b = _paired_wires(ca, cb, _parse_pairing(args.pairing))
+        else:
+            # Compare the joint distribution of the kept classical bits; each
+            # file's measure statements say which wire carries which bit.
+            kept_a = {c: w for w, c in a.measures if w not in ca.dead}
+            kept_b = {c: w for w, c in b.measures if w not in cb.dead}
+            if set(kept_a) != set(kept_b):
+                print(
+                    "kept classical bits differ between the files; "
+                    "use --map for relabeled comparisons",
+                    file=sys.stderr,
+                )
+                return 2
+            bits = sorted(kept_a)
+            wires_a, wires_b = [kept_a[c] for c in bits], [kept_b[c] for c in bits]
         verdict = check_marginal_equiv(
-            ca, cb, [kept_a[c] for c in bits], [kept_b[c] for c in bits],
+            ca, cb, wires_a, wires_b,
             samples=args.samples, seed=args.seed, tol=args.tol,
             bindings=bindings, cap=args.qubit_limit,
         )

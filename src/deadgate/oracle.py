@@ -1,10 +1,13 @@
 """Desk-scale statevector oracle.
 
-Simulates circuits densely, computes marginal distributions over ordered
-qubit subsets, and checks whether two circuits agree on the outcomes that
-are kept. Bit convention throughout: qubit q0 is the most significant bit
-of a basis index, so for n=2 the amplitudes are ordered |00>,|01>,|10>,|11>
-with q0's bit first.
+`check_marginal_equiv` is the one equivalence check: it simulates two
+circuits densely on shared random input states and compares their
+outcome probabilities over two wire lists, entry by entry. The callers
+build the lists: kept wires for a plain comparison, kept wires read
+through an outcome map or a dead-wire pairing for a relabeled one. Bit
+convention throughout: qubit q0 is the most significant bit of a basis
+index, so for n=2 the amplitudes are ordered |00>,|01>,|10>,|11> with
+q0's bit first.
 
 Equivalence checking samples random input states. A differing pair of
 circuits is witnessed by a random state almost surely, but the check is
@@ -66,35 +69,6 @@ def base_matrix(base: str, params: tuple[float, ...]) -> np.ndarray:
 
 
 @dataclass
-class Statevector:
-    """n-qubit pure state; amps[i] is the amplitude of basis index i."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.shape != (2**self.n,):
-            raise CircuitError(
-                f"statevector for n={self.n} needs {2**self.n} amplitudes"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass
-class Distribution:
-    """Probability table over bitstrings of an ordered qubit subset."""
-
-    qubits: tuple[int, ...]
-    probs: dict[str, float]
-
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
-
-@dataclass
 class EquivalenceVerdict:
     equivalent: bool
     max_discrepancy: float
@@ -103,22 +77,14 @@ class EquivalenceVerdict:
     witness: tuple[tuple[int, int], str] | None = None
 
 
-def basis_state(n: int, bits: str) -> Statevector:
-    """Computational basis state, bits given q0-first."""
-    if len(bits) != n or set(bits) - {"0", "1"}:
-        raise CircuitError(f"need {n} bits, got {bits!r}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return Statevector(n, amps)
-
-
-def random_state(n: int, seed, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
-    """Normalized state with i.i.d. complex Gaussian components."""
+def random_state(n: int, seed, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Amplitudes of a normalized n-qubit state with i.i.d. complex
+    Gaussian components; entry i is the amplitude of basis index i."""
     if n > cap:
         raise CircuitError(f"{n} qubits exceeds the cap of {cap}")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return Statevector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,44 +172,19 @@ def _run(
     return state.reshape(-1)
 
 
-def simulate(
-    c: Circuit,
-    input: Statevector,
-    bindings: Mapping[str, np.ndarray] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> Statevector:
-    """Apply the circuit unitary to `input`."""
-    if c.n != input.n:
-        raise CircuitError(f"circuit has {c.n} qubits, state has {input.n}")
-    if c.n > cap:
-        raise CircuitError(f"{c.n} qubits exceeds the cap of {cap}")
-    out = _run(_compile(c, bindings), input.amps, c.n)
-    return Statevector(c.n, out)
+def _marginal(amps: np.ndarray, n: int, wires: tuple[int, ...]) -> np.ndarray:
+    """Probabilities over the listed wires, in the listed order.
 
-
-def marginal(s: Statevector, qubits: Sequence[int]) -> Distribution:
-    """Distribution over the listed qubits, in the listed order.
-
-    The first listed qubit is the most significant bit of the outcome
-    string; arbitrary order is allowed so relabeled comparisons can read
-    outcomes through a wire substitution.
+    Entry i is the probability of the outcome bitstring format(i, f"0{m}b")
+    for m listed wires; the first listed wire is its most significant bit.
     """
-    qs = tuple(qubits)
-    if len(set(qs)) != len(qs):
-        raise CircuitError(f"duplicate qubit in marginal: {qs}")
-    for q in qs:
-        if not 0 <= q < s.n:
-            raise CircuitError(f"qubit q[{q}] out of range")
-    p = (np.abs(s.amps) ** 2).reshape((2,) * s.n) if s.n else np.abs(s.amps) ** 2
-    drop = tuple(ax for ax in range(s.n) if ax not in qs)
+    p = (np.abs(amps) ** 2).reshape((2,) * n) if n else np.abs(amps) ** 2
+    drop = tuple(ax for ax in range(n) if ax not in wires)
     t = p.sum(axis=drop) if drop else p
-    if qs:
-        kept = sorted(qs)
-        t = t.transpose([kept.index(q) for q in qs])
-    flat = np.asarray(t).reshape(-1)
-    m = len(qs)
-    probs = {format(i, f"0{m}b") if m else "": float(flat[i]) for i in range(flat.size)}
-    return Distribution(qs, probs)
+    if wires:
+        kept = sorted(wires)
+        t = t.transpose([kept.index(q) for q in wires])
+    return np.asarray(t).reshape(-1)
 
 
 def check_marginal_equiv(
@@ -261,6 +202,9 @@ def check_marginal_equiv(
 
     Both circuits see the same `samples` random input states (seeded per
     sample); the verdict carries the worst probability discrepancy seen.
+    Entry k of wires1 is compared with entry k of wires2, so a caller
+    lists kept wires ascending for a plain comparison, or reads the
+    second circuit through an outcome map or a dead-wire pairing.
     """
     if c1.n != c2.n:
         raise CircuitError(f"qubit counts differ: {c1.n} vs {c2.n}")
@@ -268,79 +212,29 @@ def check_marginal_equiv(
         raise CircuitError(f"{c1.n} qubits exceeds the cap of {cap}")
     if len(wires1) != len(wires2):
         raise CircuitError("wire lists must have equal length")
+    wires1, wires2 = tuple(wires1), tuple(wires2)
+    for qs in (wires1, wires2):
+        if len(set(qs)) != len(qs):
+            raise CircuitError(f"duplicate qubit in marginal: {qs}")
+        for q in qs:
+            if not 0 <= q < c1.n:
+                raise CircuitError(f"qubit q[{q}] out of range")
     ops1 = _compile(c1, bindings)
     ops2 = _compile(c2, bindings)
     worst = 0.0
     witness = None
     for i in range(samples):
-        state = random_state(c1.n, seed=(seed, i), cap=cap)
-        out1 = Statevector(c1.n, _run(ops1, state.amps, c1.n))
-        out2 = Statevector(c2.n, _run(ops2, state.amps, c2.n))
-        d1 = marginal(out1, wires1).probs
-        d2 = marginal(out2, wires2).probs
-        for k, p in d1.items():
-            gap = abs(p - d2[k])
-            if gap > worst:
-                worst = gap
-                witness = ((seed, i), k)
+        amps = random_state(c1.n, seed=(seed, i), cap=cap)
+        p1 = _marginal(_run(ops1, amps, c1.n), c1.n, wires1)
+        p2 = _marginal(_run(ops2, amps, c2.n), c2.n, wires2)
+        gaps = np.abs(p1 - p2)
+        k = int(np.argmax(gaps))
+        if gaps[k] > worst:
+            worst = float(gaps[k])
+            witness = ((seed, i), k)
     equivalent = worst <= tol
+    if not equivalent and witness is not None:
+        sample, k = witness
+        m = len(wires1)
+        witness = (sample, format(k, f"0{m}b") if m else "")
     return EquivalenceVerdict(equivalent, worst, None if equivalent else witness)
-
-
-def check_equiv(
-    c1: Circuit,
-    c2: Circuit,
-    d: Sequence[int] | frozenset[int],
-    samples: int = DEFAULT_SAMPLES,
-    seed=0,
-    tol: float = DEFAULT_TOL,
-    bindings: Mapping[str, np.ndarray] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> EquivalenceVerdict:
-    """Equivalence relative to the dead set d: marginals over the kept
-    wires (ascending) must agree for every sampled input state."""
-    dead = frozenset(d)
-    for q in dead:
-        if not 0 <= q < c1.n:
-            raise CircuitError(f"dead qubit q[{q}] out of range")
-    valid = [q for q in range(c1.n) if q not in dead]
-    return check_marginal_equiv(
-        c1, c2, valid, valid, samples=samples, seed=seed, tol=tol,
-        bindings=bindings, cap=cap,
-    )
-
-
-def check_equiv_extended(
-    c1: Circuit,
-    c2: Circuit,
-    d1: Sequence[int] | frozenset[int],
-    d2: Sequence[int] | frozenset[int],
-    pairing: Mapping[int, int],
-    samples: int = DEFAULT_SAMPLES,
-    seed=0,
-    tol: float = DEFAULT_TOL,
-    bindings: Mapping[str, np.ndarray] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> EquivalenceVerdict:
-    """Equivalence up to a re-identification of which wires are dead.
-
-    `pairing` maps each wire dead only in c1 to its replacement wire dead
-    only in c2; c2's marginal is read over c1's kept wires with each such
-    replacement wire substituted back.
-    """
-    dead1, dead2 = frozenset(d1), frozenset(d2)
-    if len(dead1) != len(dead2):
-        raise CircuitError("dead sets must have equal size")
-    only1 = dead1 - dead2
-    only2 = dead2 - dead1
-    if set(pairing.keys()) != only1 or set(pairing.values()) != only2:
-        raise CircuitError(
-            "pairing must be a bijection between the dead wires unique to each side"
-        )
-    subst = {f: e for e, f in pairing.items()}
-    valid1 = [q for q in range(c1.n) if q not in dead1]
-    wires2 = [subst.get(q, q) for q in valid1]
-    return check_marginal_equiv(
-        c1, c2, valid1, wires2, samples=samples, seed=seed, tol=tol,
-        bindings=bindings, cap=cap,
-    )

@@ -424,13 +424,3 @@ def serialize(sc: SourceCircuit, outcome_map: tuple[int, ...] | None = None) -> 
     for wire in sorted(c.dead):
         lines.append(f"#pragma dge discard {sc.qreg}[{wire}]")
     return "\n".join(lines) + "\n"
-
-
-def source_from_circuit(c: Circuit) -> SourceCircuit:
-    """Wrap a bare circuit: every kept wire measured to its own classical bit."""
-    measures = tuple((w, w) for w in range(c.n) if w not in c.dead)
-    decls = c.opaque_labels()
-    return SourceCircuit(
-        circuit=c, measures=measures, opaque_decls=decls,
-        qreg="q", creg="c", creg_size=c.n,
-    )

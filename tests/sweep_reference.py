@@ -4,8 +4,8 @@
 the frontier until a sweep removes nothing, examining each sweep's
 snapshot in ascending gate id. It rebuilds the frontier on every sweep, so
 it is quadratic in the length of a dead chain; the tests compare
-`eliminate_dead_gates` with it. The single-step helpers below (rule check,
-one removal, gate lookups) are used only by tests.
+`eliminate_dead_gates` with it. The single-step helpers below (frontier,
+rule check, one removal, gate lookups) are used only by tests.
 """
 
 from __future__ import annotations
@@ -19,6 +19,28 @@ from deadgate.eliminate import (
     _match_rule,
     _relabel_after_swap,
 )
+
+
+def frontier(c: Circuit) -> set[int]:
+    """Ids of gates that are last on every wire they touch."""
+    seen = bytearray(c.n)
+    unseen = c.n
+    out: set[int] = set()
+    for g in reversed(c.gates):
+        fresh = True
+        for q in g.qubits:
+            if seen[q]:
+                fresh = False
+                break
+        if fresh:
+            out.add(g.id)
+        for q in g.qubits:
+            if not seen[q]:
+                seen[q] = 1
+                unseen -= 1
+        if unseen == 0:
+            break
+    return out
 
 
 def gate(c: Circuit, gid: int) -> Gate:
@@ -50,7 +72,7 @@ def is_dead_gate(
     c: Circuit, gid: int, flags: RuleFlags = RuleFlags()
 ) -> RemovalRule | None:
     """Rule under which frontier gate `gid` is removable, or None."""
-    if gid not in c.frontier():
+    if gid not in frontier(c):
         raise CircuitError(f"gate {gid} is not in the frontier")
     return _match_rule(gate(c, gid).kind, c.dead, flags)
 
@@ -85,7 +107,7 @@ def sweep_eliminate(
 
     while True:
         iterations += 1
-        snapshot = sorted(Circuit(c.n, tuple(gates), dead, outcome_map).frontier())
+        snapshot = sorted(frontier(Circuit(c.n, tuple(gates), dead, outcome_map)))
         dropped: set[int] = set()
         by_id = {g.id: g for g in gates}
         for gid in snapshot:

@@ -19,16 +19,16 @@ from deadgate import (
     Swap,
     bind_opaques,
     build_circuit,
-    check_equiv,
-    check_equiv_extended,
+    check_marginal_equiv,
     eliminate_dead_gates,
     parse,
     serialize,
-    source_from_circuit,
 )
 from deadgate import fixtures
 from deadgate.bench import BenchConfig, DeadMode, run_bench
 from deadgate.cli import main
+
+from helpers import kept_wires, paired_wires, source_from_circuit
 
 BENCH_SEED = 7
 WIDTHS = tuple(range(2, 41, 2))
@@ -72,8 +72,9 @@ def test_criterion_1_three_qubit_fixture(tmp_path):
     survivors = [g.kind for g in optimized.gates]
     assert survivors == [Opaque("U_3", (0, 1, 2)), Opaque("W_1", (2,))]
     bindings = bind_opaques([src.circuit], seed=BENCH_SEED)
-    verdict = check_equiv(
-        src.circuit, optimized, src.circuit.dead,
+    kept = kept_wires(src.circuit)
+    verdict = check_marginal_equiv(
+        src.circuit, optimized, kept, kept,
         samples=20, seed=1, tol=1e-9, bindings=bindings,
     )
     assert verdict.equivalent
@@ -108,8 +109,9 @@ def test_criterion_3_qpe_fixture():
     rules = [r.rule for r in report.removed]
     assert rules == ["R1_single_on_dead"] + ["R2_controlled_target_dead"] * 4
     bindings = bind_opaques([src.circuit], seed=BENCH_SEED)
-    verdict = check_equiv(
-        src.circuit, optimized, src.circuit.dead,
+    kept = kept_wires(src.circuit)
+    verdict = check_marginal_equiv(
+        src.circuit, optimized, kept, kept,
         samples=20, seed=2, tol=1e-9, bindings=bindings,
     )
     assert verdict.equivalent
@@ -130,8 +132,9 @@ def test_criterion_4_theorem_property_suites():
         c1 = build_circuit(n, kinds, dead={qi})
         c2 = build_circuit(n, kinds[:1], dead={qi})
         bindings = bind_opaques([c1], seed=(402, i))
-        verdict = check_equiv(
-            c1, c2, {qi}, samples=1, seed=(403, i), tol=1e-9, bindings=bindings
+        kept = kept_wires(c1)
+        verdict = check_marginal_equiv(
+            c1, c2, kept, kept, samples=1, seed=(403, i), tol=1e-9, bindings=bindings
         )
         assert verdict.equivalent, f"single-qubit instance {i}"
 
@@ -147,8 +150,9 @@ def test_criterion_4_theorem_property_suites():
         c1 = build_circuit(n, kinds, dead={target})
         c2 = build_circuit(n, kinds[:1], dead={target})
         bindings = bind_opaques([c1], seed=(404, i))
-        verdict = check_equiv(
-            c1, c2, {target}, samples=1, seed=(405, i), tol=1e-9, bindings=bindings
+        kept = kept_wires(c1)
+        verdict = check_marginal_equiv(
+            c1, c2, kept, kept, samples=1, seed=(405, i), tol=1e-9, bindings=bindings
         )
         assert verdict.equivalent, f"controlled instance {i} (nc={nc})"
 
@@ -159,8 +163,8 @@ def test_criterion_4_theorem_property_suites():
         c1 = build_circuit(n, kinds, dead={qi})
         c2 = build_circuit(n, kinds[:1], dead={qj})
         bindings = bind_opaques([c1], seed=(406, i))
-        verdict = check_equiv_extended(
-            c1, c2, {qi}, {qj}, {qi: qj},
+        verdict = check_marginal_equiv(
+            c1, c2, *paired_wires(c1, {qi: qj}),
             samples=1, seed=(407, i), tol=1e-9, bindings=bindings,
         )
         assert verdict.equivalent, f"swap instance {i}"

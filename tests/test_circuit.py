@@ -11,7 +11,7 @@ from deadgate import (
     build_circuit,
 )
 
-from sweep_reference import gate, last_gate_on_wire, remove_gate
+from sweep_reference import frontier, gate, last_gate_on_wire, remove_gate
 
 
 def fig2_kinds():
@@ -47,7 +47,7 @@ class TestBuildCircuit:
     def test_empty(self):
         c = build_circuit(1, [], dead=())
         assert c.gates == ()
-        assert c.frontier() == set()
+        assert frontier(c) == set()
 
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(CircuitError):
@@ -91,14 +91,14 @@ class TestFrontier:
                 Opaque("V_5", (2,)),
             ],
         )
-        assert c.frontier() == {6, 7}
+        assert frontier(c) == {6, 7}
 
     def test_fig2_frontier(self):
         c = build_circuit(3, fig2_kinds(), dead={0})
-        assert c.frontier() == {4}
+        assert frontier(c) == {4}
 
     def test_empty_circuit(self):
-        assert build_circuit(3, []).frontier() == set()
+        assert frontier(build_circuit(3, [])) == set()
 
     def test_matches_brute_force_on_random_circuits(self):
         rng = np.random.default_rng(11)
@@ -112,15 +112,15 @@ class TestFrontier:
                     a, b = rng.choice(n, size=2, replace=False)
                     kinds.append(Controlled("X", (int(a),), int(b)))
             c = build_circuit(n, kinds)
-            assert c.frontier() == brute_frontier(c)
+            assert frontier(c) == brute_frontier(c)
 
     def test_frontier_gates_are_last_on_their_wires(self):
         c = build_circuit(3, fig2_kinds())
-        for gid in c.frontier():
+        for gid in frontier(c):
             for q in gate(c, gid).qubits:
                 assert last_gate_on_wire(c, q) == gid
         for g in c.gates:
-            if g.id not in c.frontier():
+            if g.id not in frontier(c):
                 assert any(last_gate_on_wire(c, q) != g.id for q in g.qubits)
 
 
@@ -151,11 +151,11 @@ class TestRemoveGate:
             ],
         )
         while c.gates:
-            gid = sorted(c.frontier())[0]
+            gid = sorted(frontier(c))[0]
             c = remove_gate(c, gid)
             rebuilt = build_circuit(4, [g.kind for g in c.gates])
-            by_position = {i for i, g in enumerate(c.gates) if g.id in c.frontier()}
-            assert by_position == rebuilt.frontier()
+            by_position = {i for i, g in enumerate(c.gates) if g.id in frontier(c)}
+            assert by_position == frontier(rebuilt)
 
     def test_ids_stable_after_removals(self):
         c = build_circuit(3, fig2_kinds())

@@ -127,7 +127,9 @@ class TestVerify:
         assert main(["verify", str(a), str(b), "--samples", samples]) == 2
         assert "--samples" in capsys.readouterr().err
 
-    def test_map_pairing(self, tmp_path):
+    def map_pair(self, tmp_path):
+        """A SWAP that moves deadness from q[0] to q[1], and the file
+        without it: equivalent under the pairing 0:1."""
         swap = "\n".join(
             [
                 "OPENQASM 2.0;",
@@ -150,9 +152,34 @@ class TestVerify:
                 "",
             ]
         )
-        a = write(tmp_path, "a.qasm", swap)
-        b = write(tmp_path, "b.qasm", bare)
+        return write(tmp_path, "a.qasm", swap), write(tmp_path, "b.qasm", bare)
+
+    def test_map_pairing(self, tmp_path):
+        a, b = self.map_pair(tmp_path)
         assert main(["verify", str(a), str(b), "--map", "0:1"]) == 0
+
+    @pytest.mark.parametrize("pairing, why", [
+        ("1:0", "bijection"),
+        ("0:5,0:1", "twice"),
+        ("0:1:2", "not of the form"),
+        ("0", "not of the form"),
+    ], ids=["not_bijective", "duplicate_key", "three_parts", "one_part"])
+    def test_bad_map_exit_2(self, tmp_path, capsys, pairing, why):
+        a, b = self.map_pair(tmp_path)
+        assert main(["verify", str(a), str(b), "--map", pairing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and why in captured.err
+
+    @pytest.mark.parametrize("tol", ["5", "1", "inf", "-1", "nan"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        def single(gate):
+            return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
+
+        a = write(tmp_path, "h.qasm", single("h"))
+        b = write(tmp_path, "x.qasm", single("x"))
+        assert main(["verify", str(a), str(b), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
 
     def test_optimized_swap_verifies_through_measure_map(self, tmp_path):
         text = "\n".join(
@@ -193,6 +220,17 @@ class TestBench:
         ])
         assert code == 2
         assert "dead" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["7", "-1", "nan", "inf", "1e-320"])
+    def test_bad_verify_fraction_exit_2(self, tmp_path, capsys, fraction):
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--widths", "4", "--programs", "1", "--blocks", "1",
+            "--verify-fraction", fraction, "--out", str(out),
+        ])
+        assert code == 2
+        assert "verify fraction" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pct_mode_row(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,65 +10,68 @@ from deadgate import (
     Controlled,
     Opaque,
     SingleQubit,
-    Statevector,
     Swap,
-    basis_state,
     bind_opaques,
     build_circuit,
-    check_equiv,
-    check_equiv_extended,
+    check_marginal_equiv,
     haar_unitary,
-    marginal,
     random_state,
-    simulate,
 )
+from deadgate.oracle import _marginal
+
+from helpers import basis_state, kept_wires, paired_wires, simulate
 
 
-def brute_marginal(sv: Statevector, qubits) -> dict[str, float]:
+def brute_marginal(amps, n, qubits) -> dict[str, float]:
     """Oracle: accumulate |amp|^2 per outcome by walking every basis index."""
     probs = {}
-    for idx, amp in enumerate(sv.amps):
-        bits = format(idx, f"0{sv.n}b")
+    for idx, amp in enumerate(amps):
+        bits = format(idx, f"0{n}b")
         key = "".join(bits[q] for q in qubits)
         probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
     return probs
 
 
+def outcome(bits: str) -> int:
+    """Index of an outcome bitstring in a marginal array."""
+    return int(bits, 2) if bits else 0
+
+
 class TestSimulate:
     def test_hadamard_on_zero(self):
         c = build_circuit(1, [SingleQubit("H", 0)])
-        out = simulate(c, basis_state(1, "0"))
-        assert np.allclose(out.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        out = simulate(c, basis_state("0"))
+        assert np.allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_cx_truth_table(self):
         c = build_circuit(2, [Controlled("X", (0,), 1)])
-        out = simulate(c, basis_state(2, "10"))
-        assert np.allclose(out.amps, basis_state(2, "11").amps)
-        out = simulate(c, basis_state(2, "00"))
-        assert np.allclose(out.amps, basis_state(2, "00").amps)
+        out = simulate(c, basis_state("10"))
+        assert np.allclose(out, basis_state("11"))
+        out = simulate(c, basis_state("00"))
+        assert np.allclose(out, basis_state("00"))
 
     def test_swap_moves_amplitude(self):
         c = build_circuit(2, [Swap(0, 1)])
-        out = simulate(c, basis_state(2, "10"))
-        assert np.allclose(out.amps, basis_state(2, "01").amps)
+        out = simulate(c, basis_state("10"))
+        assert np.allclose(out, basis_state("01"))
 
     def test_fig2_norm_preserved(self):
         from deadgate.fixtures import three_qubit_example
 
         c = three_qubit_example().circuit
         bindings = bind_opaques([c], seed=2)
-        out = simulate(c, basis_state(3, "000"), bindings)
-        assert abs(out.norm() - 1.0) < 1e-12
+        out = simulate(c, basis_state("000"), bindings)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_unbound_opaque_rejected(self):
         c = build_circuit(2, [Opaque("U", (0, 1))])
         with pytest.raises(CircuitError):
-            simulate(c, basis_state(2, "00"))
+            simulate(c, basis_state("00"))
 
     def test_qubit_cap(self):
         c = build_circuit(13, [])
         with pytest.raises(CircuitError):
-            simulate(c, Statevector(13, np.zeros(2**13)), cap=12)
+            check_marginal_equiv(c, c, [], [], cap=12)
 
     def test_controlled_u3_matches_manual_matrix(self):
         theta, phi, lam = 0.7, -0.4, 1.1
@@ -84,72 +89,77 @@ class TestSimulate:
         )
         full = np.eye(4, dtype=complex)
         full[2:, 2:] = u
-        assert np.allclose(out.amps, full @ sv.amps)
+        assert np.allclose(out, full @ sv)
 
 
 class TestMarginal:
     def setup_method(self):
         a = np.array([0.1, 0.2, 0.3, 0.4])
-        self.phi = Statevector(2, a / np.linalg.norm(a))
-        self.norm2 = float(np.sum(np.abs(self.phi.amps) ** 2))
+        self.phi = a / np.linalg.norm(a)
 
     def test_two_qubit_values(self):
-        m = marginal(self.phi, [0, 1])
-        assert m.probs["01"] == pytest.approx(abs(self.phi.amps[1]) ** 2)
-        assert m.probs["10"] == pytest.approx(abs(self.phi.amps[2]) ** 2)
-        assert m.probs["00"] == pytest.approx(abs(self.phi.amps[0]) ** 2)
+        m = _marginal(self.phi, 2, (0, 1))
+        assert m[outcome("01")] == pytest.approx(abs(self.phi[1]) ** 2)
+        assert m[outcome("10")] == pytest.approx(abs(self.phi[2]) ** 2)
+        assert m[outcome("00")] == pytest.approx(abs(self.phi[0]) ** 2)
 
     def test_single_qubit_sums_partner(self):
-        m = marginal(self.phi, [0])
-        expect = abs(self.phi.amps[2]) ** 2 + abs(self.phi.amps[3]) ** 2
-        assert m.probs["1"] == pytest.approx(expect)
+        m = _marginal(self.phi, 2, (0,))
+        expect = abs(self.phi[2]) ** 2 + abs(self.phi[3]) ** 2
+        assert m[outcome("1")] == pytest.approx(expect)
 
     def test_empty_subset(self):
-        m = marginal(self.phi, [])
-        assert m.probs == {"": pytest.approx(1.0)}
+        m = _marginal(self.phi, 2, ())
+        assert m.tolist() == [pytest.approx(1.0)]
 
     def test_duplicate_rejected(self):
-        with pytest.raises(CircuitError):
-            marginal(self.phi, [0, 0])
+        c = build_circuit(2, [])
+        with pytest.raises(CircuitError, match="duplicate"):
+            check_marginal_equiv(c, c, [0, 0], [0, 1])
+        with pytest.raises(CircuitError, match="duplicate"):
+            check_marginal_equiv(c, c, [0, 1], [1, 1])
+        with pytest.raises(CircuitError, match="out of range"):
+            check_marginal_equiv(c, c, [0, 2], [0, 1])
 
     def test_matches_brute_force_any_order(self):
         rng = np.random.default_rng(7)
         for i in range(20):
             n = int(rng.integers(1, 6))
-            sv = random_state(n, seed=(7, i))
+            amps = random_state(n, seed=(7, i))
             k = int(rng.integers(0, n + 1))
-            qubits = [int(q) for q in rng.permutation(n)[:k]]
-            got = marginal(sv, qubits).probs
-            want = brute_marginal(sv, qubits)
-            assert set(got) >= set(want)
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            got = _marginal(amps, n, qubits)
+            want = brute_marginal(amps, n, qubits)
+            assert got.size == 2**k
             for key, p in want.items():
-                assert got[key] == pytest.approx(p, abs=1e-12)
+                assert got[outcome(key)] == pytest.approx(p, abs=1e-12)
 
     def test_coarse_graining(self):
-        sv = random_state(4, seed=99)
-        fine = marginal(sv, [0, 2, 3]).probs
-        coarse = marginal(sv, [0, 3]).probs
-        for key, p in coarse.items():
-            total = sum(fine[key[0] + mid + key[1]] for mid in "01")
+        amps = random_state(4, seed=99)
+        fine = _marginal(amps, 4, (0, 2, 3))
+        coarse = _marginal(amps, 4, (0, 3))
+        for i, p in enumerate(coarse):
+            key = format(i, "02b")
+            total = sum(fine[outcome(key[0] + mid + key[1])] for mid in "01")
             assert total == pytest.approx(p, abs=1e-12)
 
     def test_distribution_normalized(self):
-        sv = random_state(5, seed=123)
-        assert marginal(sv, [1, 3]).total() == pytest.approx(1.0, abs=1e-9)
+        amps = random_state(5, seed=123)
+        assert _marginal(amps, 5, (1, 3)).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRandomState:
     def test_normalized(self):
-        assert abs(random_state(1, seed=0).norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(random_state(1, seed=0)) - 1.0) < 1e-12
 
     def test_deterministic(self):
         a = random_state(4, seed=42)
         b = random_state(4, seed=42)
-        assert np.array_equal(a.amps, b.amps)
+        assert np.array_equal(a, b)
 
     def test_near_orthogonality_monte_carlo(self):
         # mean squared overlap of independent random states is 2^-n
-        states = [random_state(10, seed=(55, i)).amps for i in range(100)]
+        states = [random_state(10, seed=(55, i)) for i in range(100)]
         overlaps = []
         for i in range(100):
             for j in range(i + 1, 100):
@@ -169,35 +179,42 @@ class TestHaarUnitary:
         assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
+def check_kept(c1, c2, **kwargs):
+    """c1 and c2 compared on c1's kept wires."""
+    kept = kept_wires(c1)
+    return check_marginal_equiv(c1, c2, kept, kept, **kwargs)
+
+
 class TestCheckEquiv:
     def test_hh_vs_zh(self):
         c1 = build_circuit(2, [SingleQubit("H", 0), SingleQubit("H", 1)], dead={0})
         c2 = build_circuit(2, [SingleQubit("Z", 0), SingleQubit("H", 1)], dead={0})
-        assert check_equiv(c1, c2, {0}, samples=20, seed=1).equivalent
+        assert check_kept(c1, c2, samples=20, seed=1).equivalent
 
     def test_cx_vs_empty_inequivalent(self):
         c1 = build_circuit(2, [Controlled("X", (0,), 1)], dead={0})
         c2 = build_circuit(2, [], dead={0})
-        verdict = check_equiv(c1, c2, {0}, samples=20, seed=1)
+        verdict = check_kept(c1, c2, samples=20, seed=1)
         assert not verdict.equivalent
         assert verdict.witness is not None
         # the deterministic witness: |10> maps to q1-marginals 1 vs 0
-        out1 = marginal(simulate(c1, basis_state(2, "10")), [1]).probs
-        out2 = marginal(simulate(c2, basis_state(2, "10")), [1]).probs
-        assert out1["1"] == pytest.approx(1.0) and out2["1"] == pytest.approx(0.0)
+        out1 = _marginal(simulate(c1, basis_state("10")), 2, (1,))
+        out2 = _marginal(simulate(c2, basis_state("10")), 2, (1,))
+        assert out1[outcome("1")] == pytest.approx(1.0)
+        assert out2[outcome("1")] == pytest.approx(0.0)
 
     def test_reflexive(self):
         from deadgate.fixtures import vqe_ansatz
 
         c = vqe_ansatz().circuit
         bindings = bind_opaques([c], seed=4)
-        verdict = check_equiv(c, c, c.dead, samples=5, seed=2, bindings=bindings)
+        verdict = check_kept(c, c, samples=5, seed=2, bindings=bindings)
         assert verdict.equivalent
         assert verdict.max_discrepancy == 0.0
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(CircuitError):
-            check_equiv(build_circuit(2, []), build_circuit(3, []), set())
+            check_marginal_equiv(build_circuit(2, []), build_circuit(3, []), [], [])
 
 
 class TestCheckEquivExtended:
@@ -206,8 +223,9 @@ class TestCheckEquivExtended:
         c1 = build_circuit(3, kinds, dead={0})
         c2 = build_circuit(3, kinds[:1], dead={1})
         bindings = bind_opaques([c1], seed=6)
-        verdict = check_equiv_extended(
-            c1, c2, {0}, {1}, {0: 1}, samples=10, seed=3, bindings=bindings
+        wires1, wires2 = paired_wires(c1, {0: 1})
+        verdict = check_marginal_equiv(
+            c1, c2, wires1, wires2, samples=10, seed=3, bindings=bindings
         )
         assert verdict.equivalent
 
@@ -216,22 +234,16 @@ class TestCheckEquivExtended:
         c1 = build_circuit(3, kinds, dead={0})
         c2 = build_circuit(3, kinds[:1], dead={0})
         bindings = bind_opaques([c1], seed=6)
-        verdict = check_equiv(c1, c2, {0}, samples=10, seed=3, bindings=bindings)
+        verdict = check_kept(c1, c2, samples=10, seed=3, bindings=bindings)
         assert not verdict.equivalent
 
     def test_identity_pairing_matches_check_equiv(self):
         c1 = build_circuit(2, [SingleQubit("H", 0), SingleQubit("H", 1)], dead={0})
         c2 = build_circuit(2, [SingleQubit("Z", 0), SingleQubit("H", 1)], dead={0})
-        a = check_equiv(c1, c2, {0}, samples=10, seed=5)
-        b = check_equiv_extended(c1, c2, {0}, {0}, {}, samples=10, seed=5)
+        a = check_kept(c1, c2, samples=10, seed=5)
+        b = check_marginal_equiv(c1, c2, *paired_wires(c1, {}), samples=10, seed=5)
         assert a.equivalent == b.equivalent
         assert a.max_discrepancy == b.max_discrepancy
-
-    def test_bad_pairing_rejected(self):
-        c1 = build_circuit(2, [], dead={0})
-        c2 = build_circuit(2, [], dead={1})
-        with pytest.raises(CircuitError):
-            check_equiv_extended(c1, c2, {0}, {1}, {1: 0})
 
 
 def random_u3_params(rng) -> tuple[float, float, float]:
@@ -251,7 +263,7 @@ class TestTheoremProperties:
             c1 = build_circuit(n, kinds, dead={qi})
             c2 = build_circuit(n, kinds[:1], dead={qi})
             bindings = bind_opaques([c1], seed=(61, i))
-            assert check_equiv(c1, c2, {qi}, samples=2, seed=(62, i), bindings=bindings).equivalent
+            assert check_kept(c1, c2, samples=2, seed=(62, i), bindings=bindings).equivalent
 
     def test_controlled_removal(self):
         rng = np.random.default_rng(71)
@@ -267,8 +279,8 @@ class TestTheoremProperties:
             c1 = build_circuit(n, kinds, dead={target})
             c2 = build_circuit(n, kinds[:1], dead={target})
             bindings = bind_opaques([c1], seed=(71, i))
-            assert check_equiv(
-                c1, c2, {target}, samples=2, seed=(72, i), bindings=bindings
+            assert check_kept(
+                c1, c2, samples=2, seed=(72, i), bindings=bindings
             ).equivalent
 
     def test_swap_removal(self):
@@ -280,8 +292,9 @@ class TestTheoremProperties:
             c1 = build_circuit(n, kinds, dead={qi})
             c2 = build_circuit(n, kinds[:1], dead={qj})
             bindings = bind_opaques([c1], seed=(81, i))
-            assert check_equiv_extended(
-                c1, c2, {qi}, {qj}, {qi: qj}, samples=2, seed=(82, i), bindings=bindings
+            assert check_marginal_equiv(
+                c1, c2, *paired_wires(c1, {qi: qj}), samples=2, seed=(82, i),
+                bindings=bindings,
             ).equivalent
 
     def test_counterexample_fails(self):
@@ -296,5 +309,29 @@ class TestTheoremProperties:
         c1 = build_circuit(2, kinds, dead={0})
         c2 = build_circuit(2, [kinds[0], kinds[2]], dead={0})
         bindings = bind_opaques([c1], seed=92)
-        verdict = check_equiv(c1, c2, {0}, samples=20, seed=93, bindings=bindings)
+        verdict = check_kept(c1, c2, samples=20, seed=93, bindings=bindings)
         assert not verdict.equivalent
+
+
+class TestReadmeExample:
+    def test_library_snippet_verifies_swap_relabel(self):
+        # the optimizer removes the SWAP and moves q[0]'s outcome to wire 1;
+        # the snippet must read it there to see the circuits agree
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        library = readme[readme.index("## Library"):]
+        snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+        text = "\n".join([
+            "OPENQASM 2.0;",
+            "qreg q[2];",
+            "creg c[2];",
+            "h q[0];",
+            "cx q[0],q[1];",
+            "swap q[0],q[1];",
+            "measure q[0] -> c[0];",
+            "#pragma dge discard q[1]",
+            "",
+        ])
+        scope = {"text": text}
+        exec(snippet, scope)
+        assert [r.rule for r in scope["report"].removed] == ["R3_swap_relabel"]
+        assert scope["verdict"].equivalent

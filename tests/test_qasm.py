@@ -10,9 +10,10 @@ from deadgate import (
     build_circuit,
     parse,
     serialize,
-    source_from_circuit,
 )
 from deadgate.fixtures import three_qubit_example_source
+
+from helpers import source_from_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
