@@ -6,6 +6,9 @@ distribution of the outcomes that are kept. This package provides the
 circuit IR, the removal pass, a brute-force statevector oracle that
 verifies transformations, a QASM-subset front end, and a random-circuit
 benchmark harness.
+
+The oracle's names load on first use (PEP 562), so importing the package
+does not import numpy.
 """
 
 __version__ = "0.1.0"
@@ -27,14 +30,25 @@ from .eliminate import (
     RuleFlags,
     eliminate_dead_gates,
 )
-from .oracle import (
-    EquivalenceVerdict,
-    bind_opaques,
-    check_marginal_equiv,
-    haar_unitary,
-    random_state,
-)
 from .qasm import QasmError, SourceCircuit, parse, serialize
+
+_ORACLE_NAMES = (
+    "EquivalenceVerdict",
+    "bind_opaques",
+    "check_marginal_equiv",
+    "haar_unitary",
+    "random_state",
+)
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = getattr(oracle, name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "Circuit",

@@ -2,27 +2,68 @@
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the files
 inequivalent, 2 usage, parse, or configuration errors.
+
+The oracle and the bench harness, and numpy with them, load on first
+use, so `optimize` starts without numpy. Their names are still
+attributes of this module (PEP 562), and the commands call them through
+whatever is bound here at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
+import stat
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bench import BenchConfig, DeadMode, manifest_json, run_bench
 from .circuit import Circuit, CircuitError
+from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL
 from .eliminate import RuleFlags, eliminate_dead_gates
-from .oracle import (
-    DEFAULT_QUBIT_CAP,
-    DEFAULT_SAMPLES,
-    DEFAULT_TOL,
-    EquivalenceVerdict,
-    bind_opaques,
-    check_marginal_equiv,
-)
 from .qasm import DIALECT_VERSION, QasmError, parse, serialize
+
+if TYPE_CHECKING:
+    from .oracle import EquivalenceVerdict
+
+_LAZY = {
+    "bind_opaques": "oracle",
+    "check_marginal_equiv": "oracle",
+    "BenchConfig": "bench",
+    "DeadMode": "bench",
+    "manifest_json": "bench",
+    "run_bench": "bench",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _resolve(name: str):
+    """`name` as bound in this module now, loading it on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
+
+def _write(path: Path, text: str) -> None:
+    """Write `text` to `path` in place, then cut off any older, longer
+    tail. A regular file is not truncated to zero first: on ext4, writing
+    into a file just truncated to zero forces writeback at close, which
+    costs milliseconds per file. The price is crash consistency: a crash
+    mid-rewrite can leave new text followed by old (see the README).
+    Symlinks are followed, and devices and FIFOs are written without
+    truncation."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,9 +145,9 @@ def cmd_optimize(args) -> int:
     optimized, report = eliminate_dead_gates(src.circuit, flags)
     out_text = serialize(src.with_circuit(optimized), optimized.outcome_map)
     try:
-        args.output.write_text(out_text)
+        _write(args.output, out_text)
         if args.report:
-            args.report.write_text(report.to_json())
+            _write(args.report, report.to_json())
     except OSError as exc:
         print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
@@ -192,7 +233,7 @@ def cmd_verify(args) -> int:
         print(f"{ca.n} qubits exceeds the limit of {args.qubit_limit}", file=sys.stderr)
         return 2
     try:
-        bindings = bind_opaques([ca, cb], seed=args.seed)
+        bindings = _resolve("bind_opaques")([ca, cb], seed=args.seed)
         if args.pairing is not None:
             wires_a, wires_b = _paired_wires(ca, cb, _parse_pairing(args.pairing))
         else:
@@ -209,7 +250,7 @@ def cmd_verify(args) -> int:
                 return 2
             bits = sorted(kept_a)
             wires_a, wires_b = [kept_a[c] for c in bits], [kept_b[c] for c in bits]
-        verdict = check_marginal_equiv(
+        verdict = _resolve("check_marginal_equiv")(
             ca, cb, wires_a, wires_b,
             samples=args.samples, seed=args.seed, tol=args.tol,
             bindings=bindings, cap=args.qubit_limit,
@@ -237,9 +278,9 @@ def _parse_widths(text: str) -> tuple[int, ...]:
 
 def cmd_bench(args) -> int:
     try:
-        cfg = BenchConfig(
+        cfg = _resolve("BenchConfig")(
             widths=_parse_widths(args.widths),
-            dead_mode=DeadMode.parse(args.dead),
+            dead_mode=_resolve("DeadMode").parse(args.dead),
             gate_multiplier=args.gate_multiplier,
             single_qubit_fraction=args.fraction_1q,
             blocks=args.blocks,
@@ -253,11 +294,11 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    records, csv_text = run_bench(cfg)
+    records, csv_text = _resolve("run_bench")(cfg)
     try:
-        args.out.write_text(csv_text)
+        _write(args.out, csv_text)
         manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
-        manifest_path.write_text(manifest_json(cfg, __version__))
+        _write(manifest_path, _resolve("manifest_json")(cfg, __version__))
     except OSError as exc:
         print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
@@ -280,3 +321,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,11 +22,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Controlled, Opaque, SingleQubit, Swap
+from .circuit import Circuit, CircuitError, Controlled, Gate, Opaque, SingleQubit, Swap
+from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL
 
-DEFAULT_QUBIT_CAP = 12
-DEFAULT_SAMPLES = 20
-DEFAULT_TOL = 1e-9
+# Samples are simulated together, in batches of at most this many
+# amplitudes: the size of one state at the default cap. Memory stays that
+# of the largest single state, while small circuits pay each gate's call
+# overhead once per batch instead of once per sample.
+_BATCH_AMPLITUDES = 2**DEFAULT_QUBIT_CAP
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _FIXED_1Q = {
@@ -130,11 +133,11 @@ _SWAP = np.array(
 
 
 def _compile(
-    c: Circuit, bindings: Mapping[str, np.ndarray] | None
+    gates: Sequence[Gate], bindings: Mapping[str, np.ndarray] | None
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Per-gate (unitary, wires) list, resolving opaque labels."""
     ops = []
-    for g in c.gates:
+    for g in gates:
         kind = g.kind
         if isinstance(kind, SingleQubit):
             ops.append((base_matrix(kind.base, kind.params), g.qubits))
@@ -156,35 +159,46 @@ def _compile(
     return ops
 
 
-def _apply(state: np.ndarray, u: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
+def _apply(state: np.ndarray, u: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
     k = len(wires)
     tensor = u.reshape((2,) * (2 * k))
     state = np.tensordot(tensor, state, axes=(tuple(range(k, 2 * k)), wires))
     return np.moveaxis(state, tuple(range(k)), wires)
 
 
-def _run(
-    ops: list[tuple[np.ndarray, tuple[int, ...]]], amps: np.ndarray, n: int
-) -> np.ndarray:
-    state = amps.reshape((2,) * n) if n else amps
+def _run(ops: list[tuple[np.ndarray, tuple[int, ...]]], state: np.ndarray) -> np.ndarray:
+    """Apply the ops to a state of shape (2,)*n + (batch,); axis q is wire q."""
     for u, wires in ops:
-        state = _apply(state, u, wires, n)
-    return state.reshape(-1)
+        state = _apply(state, u, wires)
+    return state
 
 
 def _marginal(amps: np.ndarray, n: int, wires: tuple[int, ...]) -> np.ndarray:
     """Probabilities over the listed wires, in the listed order.
 
-    Entry i is the probability of the outcome bitstring format(i, f"0{m}b")
-    for m listed wires; the first listed wire is its most significant bit.
+    `amps` has shape (2**n,), or (2**n, batch) for one state per column.
+    Entry i (row i) is the probability of the outcome bitstring
+    format(i, f"0{m}b") for m listed wires; the first listed wire is its
+    most significant bit.
     """
-    p = (np.abs(amps) ** 2).reshape((2,) * n) if n else np.abs(amps) ** 2
+    batch = amps.shape[1:]
+    p = (np.abs(amps) ** 2).reshape((2,) * n + batch)
     drop = tuple(ax for ax in range(n) if ax not in wires)
     t = p.sum(axis=drop) if drop else p
     if wires:
         kept = sorted(wires)
-        t = t.transpose([kept.index(q) for q in wires])
-    return np.asarray(t).reshape(-1)
+        t = t.transpose([kept.index(q) for q in wires] + list(range(len(wires), t.ndim)))
+    return t.reshape((-1,) + batch)
+
+
+def _common_prefix(c1: Circuit, c2: Circuit) -> int:
+    """Number of leading gates the two circuits share, compared by kind."""
+    common = 0
+    for g1, g2 in zip(c1.gates, c2.gates):
+        if g1.kind != g2.kind:
+            break
+        common += 1
+    return common
 
 
 def check_marginal_equiv(
@@ -205,11 +219,16 @@ def check_marginal_equiv(
     Entry k of wires1 is compared with entry k of wires2, so a caller
     lists kept wires ascending for a plain comparison, or reads the
     second circuit through an outcome map or a dead-wire pairing.
+
+    The states are simulated in batches. The gates the two lists share
+    at their start are applied once per batch, and each circuit's
+    remaining gates are applied to that shared state.
     """
     if c1.n != c2.n:
         raise CircuitError(f"qubit counts differ: {c1.n} vs {c2.n}")
-    if c1.n > cap:
-        raise CircuitError(f"{c1.n} qubits exceeds the cap of {cap}")
+    n = c1.n
+    if n > cap:
+        raise CircuitError(f"{n} qubits exceeds the cap of {cap}")
     if len(wires1) != len(wires2):
         raise CircuitError("wire lists must have equal length")
     wires1, wires2 = tuple(wires1), tuple(wires2)
@@ -217,21 +236,30 @@ def check_marginal_equiv(
         if len(set(qs)) != len(qs):
             raise CircuitError(f"duplicate qubit in marginal: {qs}")
         for q in qs:
-            if not 0 <= q < c1.n:
+            if not 0 <= q < n:
                 raise CircuitError(f"qubit q[{q}] out of range")
-    ops1 = _compile(c1, bindings)
-    ops2 = _compile(c2, bindings)
+    common = _common_prefix(c1, c2)
+    ops1 = _compile(c1.gates, bindings)
+    prefix, rest1 = ops1[:common], ops1[common:]
+    rest2 = _compile(c2.gates[common:], bindings)
+    batch = max(1, _BATCH_AMPLITUDES >> n)
     worst = 0.0
     witness = None
-    for i in range(samples):
-        amps = random_state(c1.n, seed=(seed, i), cap=cap)
-        p1 = _marginal(_run(ops1, amps, c1.n), c1.n, wires1)
-        p2 = _marginal(_run(ops2, amps, c2.n), c2.n, wires2)
+    for first in range(0, samples, batch):
+        ids = range(first, min(first + batch, samples))
+        amps = np.stack([random_state(n, seed=(seed, i), cap=cap) for i in ids], axis=-1)
+        shared = _run(prefix, amps.reshape((2,) * n + (len(ids),)))
+        p1 = _marginal(_run(rest1, shared).reshape(2**n, -1), n, wires1)
+        p2 = _marginal(_run(rest2, shared).reshape(2**n, -1), n, wires2)
         gaps = np.abs(p1 - p2)
-        k = int(np.argmax(gaps))
-        if gaps[k] > worst:
-            worst = float(gaps[k])
-            witness = ((seed, i), k)
+        # per sample, the first outcome with the largest gap; across
+        # samples, the first sample with the largest gap
+        outcomes = gaps.argmax(axis=0)
+        for j, i in enumerate(ids):
+            k = int(outcomes[j])
+            if gaps[k, j] > worst:
+                worst = float(gaps[k, j])
+                witness = ((seed, i), k)
     equivalent = worst <= tol
     if not equivalent and witness is not None:
         sample, k = witness

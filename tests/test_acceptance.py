@@ -199,7 +199,11 @@ def test_criterion_5_counterexamples(tmp_path):
     print("\nACCEPTANCE 5: PASS - invalid removals never produced, all flagged")
 
 
-def test_criterion_6_soundness_sweep(tmp_path):
+@pytest.fixture(scope="session")
+def soundness_sweep(tmp_path_factory):
+    """Criterion 6's 200 optimize-then-verify runs: the indices whose
+    verify failed, every removal report, and the seconds taken."""
+    tmp_path = tmp_path_factory.mktemp("soundness")
     start = time.perf_counter()
     failures = []
     reports = []
@@ -219,11 +223,13 @@ def test_criterion_6_soundness_sweep(tmp_path):
         if code != 0:
             failures.append(i)
         reports.append(json.loads(rep_path.read_text()))
-    elapsed = time.perf_counter() - start
+    return failures, reports, time.perf_counter() - start
+
+
+def test_criterion_6_soundness_sweep(soundness_sweep):
+    failures, _, elapsed = soundness_sweep
     assert failures == []
     assert elapsed < 300.0
-    # stash for the complexity criterion
-    test_criterion_6_soundness_sweep.reports = reports
     print(f"\nACCEPTANCE 6: PASS - 200/200 circuits verified, {elapsed:.0f}s")
 
 
@@ -267,9 +273,9 @@ def test_criterion_7_trend_reproduction(bench_sweep):
     )
 
 
-def test_criterion_8_complexity_contract(bench_sweep):
-    reports = getattr(test_criterion_6_soundness_sweep, "reports", None)
-    assert reports, "criterion 6 must run first"
+def test_criterion_8_complexity_contract(bench_sweep, soundness_sweep):
+    _, reports, _ = soundness_sweep
+    assert len(reports) == 200
     for doc in reports:
         g = doc["initial_gate_count"]
         assert doc["gate_checks"] <= g * (g + 1)
@@ -291,7 +297,22 @@ def test_criterion_8_complexity_contract(bench_sweep):
     print(f"\nACCEPTANCE 8: PASS - quadratic check bound holds, time slope {slope:.2f}")
 
 
-def test_criterion_9_determinism(tmp_path):
+@pytest.fixture(scope="session")
+def untimed_csvs():
+    """Two untimed runs of each dead mode's sweep, as CSV text.
+
+    Wall time is the one nondeterministic column, so the byte comparison
+    runs untimed; the untimed CSV must agree with the timed sweep on
+    every other column.
+    """
+    out = {}
+    for mode in MODES:
+        cfg = bench_config(mode, verify_fraction=0.0, measure_time=False)
+        out[str(mode)] = (run_bench(cfg)[1], run_bench(cfg)[1])
+    return out
+
+
+def test_criterion_9_determinism(tmp_path, untimed_csvs):
     # criteria 1-3: byte-identical outputs and reports on a rerun
     for name, source in (
         ("fig", fixtures.three_qubit_example_source()),
@@ -308,26 +329,14 @@ def test_criterion_9_determinism(tmp_path):
             outputs.append((out.read_bytes(), rep.read_bytes()))
         assert outputs[0] == outputs[1], name
 
-    # criterion 7: reruns with the same seeds produce byte-identical CSVs.
-    # Wall time is the one nondeterministic column, so the byte comparison
-    # runs untimed; the untimed CSV must agree with the timed sweep on
-    # every other column.
+    # criterion 7: reruns with the same seeds produce byte-identical CSVs
     for mode in MODES:
-        cfg = bench_config(mode, verify_fraction=0.0, measure_time=False)
-        _, csv_a = run_bench(cfg)
-        _, csv_b = run_bench(cfg)
+        csv_a, csv_b = untimed_csvs[str(mode)]
         assert csv_a == csv_b, str(mode)
-        test_criterion_9_determinism.untimed = getattr(
-            test_criterion_9_determinism, "untimed", {}
-        )
-        test_criterion_9_determinism.untimed[str(mode)] = csv_a
     print("\nACCEPTANCE 9: PASS - reports and CSVs byte-identical across reruns")
 
 
-def test_criterion_9_timed_csv_matches_untimed(bench_sweep):
-    untimed = getattr(test_criterion_9_determinism, "untimed", None)
-    assert untimed, "criterion 9 must run first"
-
+def test_criterion_9_timed_csv_matches_untimed(bench_sweep, untimed_csvs):
     def strip_timing(csv_text):
         rows = []
         for line in csv_text.strip().splitlines():
@@ -337,4 +346,5 @@ def test_criterion_9_timed_csv_matches_untimed(bench_sweep):
 
     for mode in MODES:
         _, timed_csv = bench_sweep[str(mode)]
-        assert strip_timing(timed_csv) == strip_timing(untimed[str(mode)])
+        untimed_csv, _ = untimed_csvs[str(mode)]
+        assert strip_timing(timed_csv) == strip_timing(untimed_csv)

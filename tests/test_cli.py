@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +10,18 @@ from deadgate import fixtures
 from deadgate.cli import main
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def one_qubit(gate):
+    """A one-qubit file applying `gate` and measuring the wire."""
+    return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
 
 
 class TestOptimize:
@@ -117,11 +129,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
-        def single(gate):
-            return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
-
-        a = write(tmp_path, "h.qasm", single("h"))
-        b = write(tmp_path, "x.qasm", single("x"))
+        a = write(tmp_path, "h.qasm", one_qubit("h"))
+        b = write(tmp_path, "x.qasm", one_qubit("x"))
         assert main(["verify", str(a), str(b)]) == 1
         capsys.readouterr()
         assert main(["verify", str(a), str(b), "--samples", samples]) == 2
@@ -242,6 +251,88 @@ class TestBench:
         assert code == 0
         row = out.read_text().strip().splitlines()[1]
         assert row.startswith("10,pct:20,")
+
+
+class TestWritePath:
+    """Outputs are rewritten in place; what a fresh path gets is the spec."""
+
+    def optimize(self, tmp_path, source, out, report):
+        src = write(tmp_path, "in.qasm", source)
+        return main(["optimize", str(src), str(out), "--report", str(report)])
+
+    def test_optimize_rewrite_shorter_matches_fresh(self, tmp_path):
+        out, rep = tmp_path / "out.qasm", tmp_path / "rep.json"
+        assert self.optimize(tmp_path, fixtures.qpe_source(m=4, r=2), out, rep) == 0
+        long_sizes = out.stat().st_size, rep.stat().st_size
+        assert self.optimize(tmp_path, fixtures.cnot_source(), out, rep) == 0
+        fresh_out, fresh_rep = tmp_path / "fresh.qasm", tmp_path / "fresh.json"
+        assert self.optimize(tmp_path, fixtures.cnot_source(), fresh_out, fresh_rep) == 0
+        assert out.read_bytes() == fresh_out.read_bytes()
+        assert rep.read_bytes() == fresh_rep.read_bytes()
+        assert long_sizes > (out.stat().st_size, rep.stat().st_size)
+
+    def test_bench_rewrite_shorter_matches_fresh(self, tmp_path):
+        def bench(out, widths):
+            return main([
+                "bench", "--widths", widths, "--programs", "1", "--blocks", "1",
+                "--gate-multiplier", "2", "--no-timing", "--out", str(out),
+            ])
+
+        out, fresh = tmp_path / "b.csv", tmp_path / "fresh.csv"
+        assert bench(out, "2,4,6,8,10") == 0
+        assert bench(out, "2") == 0
+        assert bench(fresh, "2") == 0
+        for suffix in ("", ".manifest.json"):
+            rewritten = Path(f"{out}{suffix}").read_bytes()
+            assert rewritten == Path(f"{fresh}{suffix}").read_bytes()
+
+    def test_symlinked_output_stays_link(self, tmp_path):
+        target = write(tmp_path, "target.qasm", "x" * 10_000)
+        link = tmp_path / "link.qasm"
+        link.symlink_to(target)
+        fresh = tmp_path / "fresh.qasm"
+        rep = tmp_path / "rep.json"
+        assert self.optimize(tmp_path, fixtures.cnot_source(), link, rep) == 0
+        assert self.optimize(tmp_path, fixtures.cnot_source(), fresh, rep) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null_output(self, tmp_path):
+        devnull = Path(os.devnull)
+        assert self.optimize(tmp_path, fixtures.cnot_source(), devnull, devnull) == 0
+
+    def test_directory_output_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert self.optimize(tmp_path, fixtures.cnot_source(), out, tmp_path / "r") == 2
+        assert capsys.readouterr().err.startswith(f"{out}: ")
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoints:
+    def test_cli_import_leaves_out_numpy(self):
+        done = run_python("-c", "import sys, deadgate.cli; print('numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("module", ["deadgate", "deadgate.cli"])
+    @pytest.mark.parametrize("other, code", [("h", 0), ("x", 1), ("frobnicate", 2)])
+    def test_python_m_verify_exit_code(self, tmp_path, module, other, code):
+        a = write(tmp_path, "a.qasm", one_qubit("h"))
+        b = write(tmp_path, "b.qasm", one_qubit(other))
+        done = run_python("-m", module, "verify", str(a), str(b))
+        assert done.returncode == code, done.stderr
+        if code == 2:
+            assert done.stderr.startswith(f"{b}:4: ")
+        else:
+            assert done.stdout.startswith("verdict: ")
 
 
 class TestUsage:

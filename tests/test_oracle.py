@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deadgate import oracle
 from deadgate import (
     CircuitError,
     Controlled,
@@ -17,9 +20,16 @@ from deadgate import (
     haar_unitary,
     random_state,
 )
+from deadgate.circuit import BASE_PARAMS
 from deadgate.oracle import _marginal
 
-from helpers import basis_state, kept_wires, paired_wires, simulate
+from helpers import (
+    basis_state,
+    kept_wires,
+    paired_wires,
+    reference_marginal_equiv,
+    simulate,
+)
 
 
 def brute_marginal(amps, n, qubits) -> dict[str, float]:
@@ -311,6 +321,181 @@ class TestTheoremProperties:
         bindings = bind_opaques([c1], seed=92)
         verdict = check_kept(c1, c2, samples=20, seed=93, bindings=bindings)
         assert not verdict.equivalent
+
+
+@st.composite
+def oracle_gate(draw, n: int):
+    """Any gate kind the oracle compiles, on distinct wires of an n-qubit circuit."""
+    shapes = ["single", "opaque"] + (["controlled", "swap"] if n > 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    order = draw(st.permutations(range(n)))
+    if shape == "opaque":
+        ws = tuple(order[: draw(st.integers(1, min(n, 3)))])
+        return Opaque(f"B{len(ws)}", ws)
+    if shape == "swap":
+        return Swap(order[0], order[1])
+    base = draw(st.sampled_from(sorted(BASE_PARAMS)))
+    params = tuple(draw(st.floats(-7, 7)) for _ in range(BASE_PARAMS[base]))
+    if shape == "single":
+        return SingleQubit(base, order[0], params)
+    controls = tuple(order[1 : 1 + draw(st.integers(1, min(n - 1, 2)))])
+    return Controlled(base, controls, order[0], params)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Two circuits with a shared start, and the wire lists to compare.
+
+    The second circuit's tail is the first's with gates deleted, an
+    independent tail, or nothing, so shared prefixes of every length and
+    both verdicts occur.
+    """
+    n = draw(st.integers(1, 12))
+    gates = st.lists(oracle_gate(n), max_size=12)
+    shared, tail1 = draw(gates), draw(gates)
+    how = draw(st.sampled_from(["subsequence", "independent", "empty"]))
+    if how == "subsequence":
+        tail2 = [g for g in tail1 if draw(st.booleans())]
+    elif how == "independent":
+        tail2 = draw(gates)
+    else:
+        tail2 = []
+    c1 = build_circuit(n, shared + tail1)
+    c2 = build_circuit(n, shared + tail2)
+    if draw(st.booleans()):
+        c1, c2 = c2, c1
+    k = draw(st.integers(0, n))
+    wires1 = draw(st.permutations(range(n)))[:k]
+    wires2 = draw(st.permutations(range(n)))[:k] if draw(st.booleans()) else wires1
+    return c1, c2, wires1, wires2
+
+
+def assert_matches_reference(c1, c2, wires1, wires2, **kwargs):
+    """The batched oracle against the sample-by-sample reference."""
+    got = check_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    want, sample_gaps = reference_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    assert got.equivalent == want.equivalent
+    assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
+    top = sorted(sample_gaps, reverse=True)[:2]
+    if len(top) == 1 or top[0] - top[1] > 1e-12:
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness[0] == want.witness[0]
+    return got, want
+
+
+def worst_sample_beyond(c1, c2, wires, first: int, samples: int) -> int:
+    """A seed whose worst sample, clear of the runner-up, comes at index
+    `first` or later."""
+    for seed in range(200):
+        _, gaps = reference_marginal_equiv(c1, c2, wires, wires, samples=samples, seed=seed)
+        top = sorted(gaps, reverse=True)
+        if gaps.index(top[0]) >= first and top[0] - top[1] > 1e-6:
+            return seed
+    raise AssertionError("no seed puts the worst sample past the first batch")
+
+
+class TestBatchedOracle:
+    """The batched, prefix-sharing oracle against the per-sample reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=oracle_pairs(), samples=st.integers(1, 25), seed=st.integers(0, 2**16))
+    def test_matches_reference(self, pair, samples, seed):
+        c1, c2, wires1, wires2 = pair
+        bindings = bind_opaques([c1, c2], seed=seed)
+        assert_matches_reference(
+            c1, c2, wires1, wires2, samples=samples, seed=seed, bindings=bindings
+        )
+
+    @pytest.mark.parametrize("n, batches", [
+        (10, [4, 4, 1]), (11, [2, 2, 2, 2, 1]), (12, [1] * 9),
+    ])
+    def test_batch_boundaries(self, monkeypatch, n, batches):
+        kinds = [SingleQubit("RY", q, (0.3 + 0.2 * q,)) for q in range(n)]
+        kinds += [Controlled("X", (q,), q + 1) for q in range(n - 1)]
+        c1 = build_circuit(n, kinds + [SingleQubit("H", n - 1)])
+        c2 = build_circuit(n, kinds + [SingleQubit("RX", n - 1, (0.4,))])
+        wires = [n - 1, 0]
+        seed = worst_sample_beyond(c1, c2, wires, batches[0], samples=9)
+        seen = []
+        run = oracle._run
+
+        def spy(ops, state):
+            seen.append(state.shape[-1])
+            return run(ops, state)
+
+        want, _ = reference_marginal_equiv(c1, c2, wires, wires, samples=9, seed=seed)
+        monkeypatch.setattr(oracle, "_run", spy)
+        got = check_marginal_equiv(c1, c2, wires, wires, samples=9, seed=seed)
+        assert not got.equivalent
+        assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
+        assert got.witness == want.witness
+        assert got.witness[0][1] >= batches[0]
+        # per batch: the shared prefix, then each circuit's remainder
+        assert seen[::3] == batches
+
+    def test_non_frontier_removal_caught(self):
+        # the controlled gate targets the dead wire but is not on the
+        # frontier, since W follows it on its control; removing it changes
+        # the kept marginal
+        rng = np.random.default_rng(91)
+        u, cu, w = (
+            Opaque("U", (0, 1)),
+            Controlled("U3", (1,), 0, random_u3_params(rng)),
+            Opaque("W", (1,)),
+        )
+        original = build_circuit(2, [u, cu, w], dead={0})
+        removed = build_circuit(2, [u, w], dead={0})
+        bindings = bind_opaques([original], seed=92)
+        assert oracle._common_prefix(original, removed) == 1
+        got, _ = assert_matches_reference(
+            original, removed, [1], [1], samples=20, seed=93, bindings=bindings
+        )
+        assert not got.equivalent
+        # "kept gates, then removed gates" would simulate the removed gate
+        # last, on the frontier, and hide the error
+        shortcut = build_circuit(2, [u, w, cu], dead={0})
+        assert check_kept(shortcut, removed, samples=20, seed=93, bindings=bindings).equivalent
+
+    def test_no_common_prefix(self):
+        c1 = build_circuit(2, [SingleQubit("X", 1), SingleQubit("H", 0)], dead={1})
+        c2 = build_circuit(2, [SingleQubit("H", 0)], dead={1})
+        assert oracle._common_prefix(c1, c2) == 0
+        got, _ = assert_matches_reference(c1, c2, [0], [0], samples=5, seed=4)
+        assert got.equivalent
+        got, _ = assert_matches_reference(c1, c2, [1], [1], samples=5, seed=4)
+        assert not got.equivalent
+
+    @pytest.mark.parametrize("tail, equivalent", [
+        (SingleQubit("H", 1), True), (SingleQubit("H", 0), False),
+    ], ids=["dead_tail", "live_tail"])
+    def test_one_list_prefix_of_other(self, tail, equivalent):
+        head = [SingleQubit("H", 0), Controlled("X", (0,), 1), SingleQubit("T", 1)]
+        longer = build_circuit(2, head + [tail], dead={1})
+        shorter = build_circuit(2, head, dead={1})
+        for c1, c2 in ((longer, shorter), (shorter, longer)):
+            assert oracle._common_prefix(c1, c2) == len(head)
+            got, _ = assert_matches_reference(c1, c2, [0], [0], samples=7, seed=2)
+            assert got.equivalent == equivalent
+        same = check_kept(longer, longer, samples=7, seed=2)
+        assert same.equivalent and same.max_discrepancy == 0.0
+
+    def test_batches_stay_within_one_capped_state(self, monkeypatch):
+        sizes = {}
+        run = oracle._run
+
+        def spy(ops, state):
+            sizes[n] = max(sizes.get(n, 0), state.size)
+            return run(ops, state)
+
+        monkeypatch.setattr(oracle, "_run", spy)
+        for n in range(0, 13):
+            kinds = [SingleQubit("H", q) for q in range(n)]
+            c = build_circuit(n, kinds)
+            check_marginal_equiv(c, c, list(range(n)), list(range(n)), samples=25)
+        assert max(sizes.values()) <= 4096
+        # small circuits do run their samples together
+        assert sizes[3] == 8 * 25 and sizes[9] == 512 * 8 and sizes[12] == 4096
 
 
 class TestReadmeExample:
