@@ -16,12 +16,23 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Controlled, GateKind, SingleQubit, Swap, build_circuit
+# build_circuit stays a name here: perfbench's tracer wraps bench.build_circuit
+from .circuit import (  # noqa: F401
+    Circuit,
+    Controlled,
+    Gate,
+    GateKind,
+    SingleQubit,
+    Swap,
+    _check_kind,
+    build_circuit,
+)
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
 
@@ -111,6 +122,96 @@ class BenchRecord:
     elapsed_micros: float
 
 
+class _Draws:
+    """The generator's per-gate draws for one circuit, checked once as
+    whole arrays: every wire in range, and two distinct wires per
+    two-qubit gate."""
+
+    __slots__ = ("is_1q", "base_idx", "wire", "pal_idx", "a", "b", "palette")
+
+    def __init__(self, n, is_1q, base_idx, wire, pal_idx, a, b, palette) -> None:
+        self.is_1q, self.base_idx, self.wire = is_1q, base_idx, wire
+        self.pal_idx, self.a, self.b, self.palette = pal_idx, a, b, palette
+        bad = np.where(
+            is_1q,
+            (wire < 0) | (wire >= n),
+            (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b),
+        )
+        if bad.any():
+            # raises the CircuitError build_circuit gives for the first bad gate
+            _check_kind(self.kind(int(bad.argmax())), n)
+
+    def kind(self, i: int) -> GateKind:
+        if self.is_1q.item(i):
+            return SingleQubit(_ONE_QUBIT[self.base_idx.item(i)], self.wire.item(i))
+        a, b = self.a.item(i), self.b.item(i)
+        name = self.palette[self.pal_idx.item(i)]
+        if name == "cx":
+            return Controlled("X", (a,), b)
+        if name == "cz":
+            return Controlled("Z", (min(a, b),), max(a, b))
+        return Swap(a, b)
+
+
+class DrawnGates:
+    """Read-only gate sequence over a random circuit's draws.
+
+    `Gate(i, kind)` is built each time index i is read, so a pass that
+    walks only the tail never builds the rest. The sequence is its first
+    `stop` drawn gates followed by `tail`, a tuple of gates. `[:k]` and
+    `+ tuple` give sequences on the same draws; every other slice is a
+    tuple. It compares equal to a tuple of the same gates, either way round.
+    """
+
+    __slots__ = ("_draws", "_stop", "_tail")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, draws: _Draws, stop: int, tail: tuple[Gate, ...] = ()) -> None:
+        self._draws = draws
+        self._stop = stop
+        self._tail = tail
+
+    def __len__(self) -> int:
+        return self._stop + len(self._tail)
+
+    def _at(self, i: int) -> Gate:
+        if i < self._stop:
+            return Gate(i, self._draws.kind(i))
+        return self._tail[i - self._stop]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if start == 0 and step == 1:
+                if stop <= self._stop:
+                    return DrawnGates(self._draws, stop)
+                return DrawnGates(self._draws, self._stop, self._tail[: stop - self._stop])
+            return tuple(self._at(i) for i in range(start, stop, step))
+        i = operator.index(index)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("gate index out of range")
+        return self._at(i)
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def __reversed__(self):
+        return map(self._at, range(len(self) - 1, -1, -1))
+
+    def __add__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return DrawnGates(self._draws, self._stop, self._tail + other)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (DrawnGates, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+
 def random_circuit(
     w: int,
     gates: int,
@@ -120,7 +221,10 @@ def random_circuit(
 ) -> Circuit:
     """Clifford+T circuit: each gate is single-qubit with probability
     fraction_1q (uniform base, uniform wire), otherwise a uniform palette
-    pick on a uniform ordered pair of distinct wires."""
+    pick on a uniform ordered pair of distinct wires.
+
+    All gates are drawn at once; each `Gate` is built only where its index
+    is read (see `DrawnGates`)."""
     if w < 2 and fraction_1q < 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)
@@ -130,21 +234,8 @@ def random_circuit(
     pal_idx = rng.integers(0, len(palette), size=gates)
     first = rng.integers(0, w, size=gates)
     shift = rng.integers(1, w, size=gates) if w > 1 else np.zeros(gates, dtype=int)
-    kinds: list[GateKind] = []
-    for i in range(gates):
-        if is_1q[i]:
-            kinds.append(SingleQubit(_ONE_QUBIT[base_idx[i]], int(wire[i])))
-            continue
-        a = int(first[i])
-        b = int((first[i] + shift[i]) % w)
-        name = palette[pal_idx[i]]
-        if name == "cx":
-            kinds.append(Controlled("X", (a,), b))
-        elif name == "cz":
-            kinds.append(Controlled("Z", (min(a, b),), max(a, b)))
-        else:
-            kinds.append(Swap(a, b))
-    return build_circuit(w, kinds)
+    draws = _Draws(w, is_1q, base_idx, wire, pal_idx, first, (first + shift) % w, palette)
+    return Circuit(w, DrawnGates(draws, gates), frozenset(), tuple(range(w)))
 
 
 def select_dead(w: int, mode: DeadMode, seed) -> frozenset[int]:

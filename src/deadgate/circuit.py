@@ -10,6 +10,7 @@ reused, so reports stay stable across removals.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # Named single-qubit bases and their parameter counts.
@@ -137,6 +138,9 @@ class Gate:
 class Circuit:
     """Gate list over n wires with dead set and outcome map.
 
+    `gates` is any read-only sequence of gates with `len`, indexing,
+    slicing, `reversed` and equality against tuples: a tuple for parsed
+    and built circuits, a lazily built sequence for the bench generator's.
     Treated as immutable: passes return new circuits.
     """
 
@@ -145,7 +149,7 @@ class Circuit:
     def __init__(
         self,
         n: int,
-        gates: tuple[Gate, ...],
+        gates: Sequence[Gate],
         dead: frozenset[int],
         outcome_map: tuple[int, ...],
     ) -> None:

@@ -12,6 +12,7 @@ whatever is bound here at call time.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import os
 import stat
@@ -66,7 +67,11 @@ def _write(path: Path, text: str) -> None:
             fh.truncate()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: it
+    costs over ten times a parse, and parsing leaves it unchanged (no
+    option has a mutable default)."""
     parser = argparse.ArgumentParser(
         prog="deadgate",
         description="Remove gates that only influence discarded measurement outcomes.",
@@ -307,9 +312,8 @@ def cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.command == "optimize":

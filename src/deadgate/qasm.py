@@ -11,7 +11,8 @@ Grammar (one statement per line, ';'-terminated, '//' comments):
                                      //   ry(a) rz(a) u3(a,b,c) cx cy cz
                                      //   crz(a) ccx ccz swap, plus applied
                                      //   opaque blocks
-    measure q[i] -> c[j];            // only after all gates
+    measure q[i] -> c[j];            // only after all gates; each q[i]
+                                     //   and c[j] at most once
     #pragma dge discard q[i]         // outcome of wire i is discarded
 
 A wire is dead iff it is never measured or appears in a discard pragma.
@@ -295,6 +296,9 @@ class _Parser:
             raise QasmError(lineno, f"classical bit {clbit} out of range (m={self.creg_size})")
         if clbit in self.used_clbits:
             raise QasmError(lineno, f"classical bit {clbit} measured twice")
+        if wire in self.measured_wires:
+            # both bits would always agree, and verify reads each wire once
+            raise QasmError(lineno, f"qubit {self.qreg}[{wire}] measured twice")
         self.used_clbits.add(clbit)
         self.measured_wires.add(wire)
         self.measures.append((wire, clbit))

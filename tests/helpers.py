@@ -7,6 +7,8 @@ against kept wires, and kept wires read through a dead-wire pairing.
 `source_from_circuit` wraps a bare circuit so it can be serialized.
 `reference_marginal_equiv` is the oracle's check one sample at a time,
 each circuit simulated whole: the reference for the batched oracle.
+`eager_random_circuit` is the bench generator building every gate up
+front: the reference for its lazily built gate sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from deadgate import oracle
-from deadgate.circuit import Circuit
+from deadgate.bench import _ONE_QUBIT, DEFAULT_PALETTE
+from deadgate.circuit import Circuit, Controlled, GateKind, SingleQubit, Swap, build_circuit
 from deadgate.qasm import SourceCircuit
 
 
@@ -80,3 +83,34 @@ def source_from_circuit(c: Circuit) -> SourceCircuit:
         circuit=c, measures=measures, opaque_decls=decls,
         qreg="q", creg="c", creg_size=c.n,
     )
+
+
+def eager_random_circuit(
+    w: int, gates: int, fraction_1q: float, seed, palette=DEFAULT_PALETTE
+) -> Circuit:
+    """`bench.random_circuit` with every gate built and checked one by one,
+    from the same draws in the same order."""
+    if w < 2 and fraction_1q < 1.0:
+        raise ValueError("two-qubit gates need width >= 2")
+    rng = np.random.default_rng(seed)
+    is_1q = rng.random(gates) < fraction_1q
+    base_idx = rng.integers(0, len(_ONE_QUBIT), size=gates)
+    wire = rng.integers(0, w, size=gates)
+    pal_idx = rng.integers(0, len(palette), size=gates)
+    first = rng.integers(0, w, size=gates)
+    shift = rng.integers(1, w, size=gates) if w > 1 else np.zeros(gates, dtype=int)
+    kinds: list[GateKind] = []
+    for i in range(gates):
+        if is_1q[i]:
+            kinds.append(SingleQubit(_ONE_QUBIT[base_idx[i]], int(wire[i])))
+            continue
+        a = int(first[i])
+        b = int((first[i] + shift[i]) % w)
+        name = palette[pal_idx[i]]
+        if name == "cx":
+            kinds.append(Controlled("X", (a,), b))
+        elif name == "cz":
+            kinds.append(Controlled("Z", (min(a, b),), max(a, b)))
+        else:
+            kinds.append(Swap(a, b))
+    return build_circuit(w, kinds)

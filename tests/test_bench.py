@@ -3,15 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from deadgate import Controlled, SingleQubit, Swap
+from collections import Counter
+
+from deadgate import Circuit, CircuitError, Controlled, RuleFlags, SingleQubit, Swap
+from deadgate import bench
 from deadgate.bench import (
     BenchConfig,
     DeadMode,
+    DrawnGates,
     manifest_json,
     random_circuit,
     run_bench,
     select_dead,
 )
+from deadgate.eliminate import eliminate_dead_gates
+
+from helpers import eager_random_circuit
 
 
 class TestRandomCircuit:
@@ -42,6 +49,151 @@ class TestRandomCircuit:
     def test_restricted_palette(self):
         c = random_circuit(4, 60, 0.1, seed=6, palette=("cx",))
         assert not any(isinstance(g.kind, Swap) for g in c.gates)
+
+
+PALETTES = [("cx",), ("cx", "cz"), ("cx", "cz", "swap")]
+ALL_FLAGS = [
+    RuleFlags(extended=e, swap_relabel=r) for e in (False, True) for r in (True, False)
+]
+
+
+class TestLazyMatchesEager:
+    """The lazily built generator against the eager reference loop."""
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.9])
+    @pytest.mark.parametrize("palette", PALETTES, ids=",".join)
+    def test_same_gates_and_pass_at_every_width(self, palette, fraction):
+        for w in range(2, 41):
+            seed = (81, w)
+            lazy = random_circuit(w, 100 * w, fraction, seed=seed, palette=palette)
+            eager = eager_random_circuit(w, 100 * w, fraction, seed=seed, palette=palette)
+            assert isinstance(lazy.gates, DrawnGates)
+            assert lazy.gates == eager.gates
+            assert lazy == eager
+            dead = select_dead(w, DeadMode("pct", 20), seed=(82, w))
+            flags = ALL_FLAGS[w % 4]
+            on_lazy = eliminate_dead_gates(
+                Circuit(w, lazy.gates, dead, lazy.outcome_map), flags)
+            on_tuple = eliminate_dead_gates(
+                Circuit(w, tuple(lazy.gates), dead, lazy.outcome_map), flags)
+            assert on_lazy[0] == on_tuple[0]
+            assert on_lazy[1].to_json() == on_tuple[1].to_json()
+
+    @pytest.mark.parametrize("palette", PALETTES, ids=",".join)
+    def test_zero_gates(self, palette):
+        lazy = random_circuit(4, 0, 0.1, seed=83, palette=palette)
+        assert lazy.gates == eager_random_circuit(4, 0, 0.1, seed=83, palette=palette).gates
+        assert lazy.gates == () and len(lazy.gates) == 0
+
+    def test_width_40_block_builds_only_the_walked_tail(self, monkeypatch):
+        c = random_circuit(40, 4000, 0.1, seed=(7, 40, 0, 0, 1))
+        dead = select_dead(40, DeadMode("pct", 20), seed=(7, 40, 0, 0, 2))
+        c = Circuit(40, c.gates, dead, c.outcome_map)
+        built = []
+
+        def spy(i, kind):
+            built.append(i)
+            return real_gate(i, kind)
+
+        real_gate = bench.Gate
+        monkeypatch.setattr(bench, "Gate", spy)
+        _, report = eliminate_dead_gates(c)
+        monkeypatch.undo()
+        # the walk goes back until every wire carries a gate it keeps
+        removed = {r.id for r in report.removed}
+        blocked: set[int] = set()
+        walked = 0
+        for g in reversed(tuple(c.gates)):
+            if len(blocked) == 40:
+                break
+            walked += 1
+            if g.id not in removed:
+                blocked.update(g.qubits)
+        assert 0 < walked < 200
+        # each walked gate is built twice, once by the walk and once for
+        # the kept tail; the walk also reads one gate before it stops
+        tail = {i: 2 for i in range(4000 - walked, 4000)}
+        assert Counter(built) == {**tail, 4000 - walked - 1: 1}
+        assert len(built) <= 2 * walked + 1
+
+
+class TestDrawnGates:
+    @pytest.fixture
+    def pair(self):
+        lazy = random_circuit(5, 50, 0.3, seed=84).gates
+        eager = eager_random_circuit(5, 50, 0.3, seed=84).gates
+        return lazy, eager
+
+    def test_indexing(self, pair):
+        lazy, eager = pair
+        assert len(lazy) == 50
+        assert [lazy[i] for i in range(50)] == list(eager)
+        assert lazy[-1] == eager[-1] and lazy[-50] == eager[0]
+        assert lazy[np.int64(7)] == eager[7]
+        for bad in (50, -51, 10**6):
+            with pytest.raises(IndexError):
+                lazy[bad]
+
+    def test_prefix_slice_is_a_view(self, pair):
+        lazy, eager = pair
+        for k in (0, 1, 20, 49, 50, 80, -5):
+            view = lazy[:k]
+            assert isinstance(view, DrawnGates)
+            assert view == eager[:k] and len(view) == len(eager[:k])
+        assert lazy[0:20] == eager[:20] and isinstance(lazy[0:20], DrawnGates)
+
+    def test_other_slices_are_tuples(self, pair):
+        lazy, eager = pair
+        for s in (slice(30, None), slice(5, 10), slice(None, None, 2),
+                  slice(None, None, -1), slice(-3, None)):
+            got = lazy[s]
+            assert type(got) is tuple and got == eager[s]
+
+    def test_iteration_and_reversed(self, pair):
+        lazy, eager = pair
+        assert list(lazy) == list(eager)
+        assert list(reversed(lazy)) == list(reversed(eager))
+
+    def test_add_tuple_appends_tail(self, pair):
+        lazy, eager = pair
+        joined = lazy[:20] + eager[40:]
+        want = eager[:20] + eager[40:]
+        assert isinstance(joined, DrawnGates)
+        assert joined == want and len(joined) == 30
+        assert joined[20] == eager[40] and joined[-1] == eager[-1]
+        assert list(reversed(joined)) == list(reversed(want))
+        assert joined[:25] == want[:25] and joined[:10] == want[:10]
+        assert joined[15:] == want[15:]
+        assert joined + (eager[0],) == want + (eager[0],)
+        assert lazy[:20] + () == eager[:20]
+        with pytest.raises(TypeError):
+            lazy + list(eager)
+
+    def test_equality_with_tuples_both_ways(self, pair):
+        lazy, eager = pair
+        assert lazy == eager and eager == lazy
+        assert not lazy != eager and not eager != lazy
+        assert lazy != eager[:-1] and eager[:-1] != lazy
+        assert lazy != eager[:-1] + (eager[0],) and eager[:-1] + (eager[0],) != lazy
+        assert lazy == random_circuit(5, 50, 0.3, seed=84).gates
+        assert lazy != random_circuit(5, 50, 0.3, seed=85).gates
+        assert lazy != list(eager)
+        with pytest.raises(TypeError):
+            hash(lazy)
+
+    def test_bad_draws_raise_circuit_error(self):
+        def draws(a, b, n=3):
+            one = np.array([0])
+            return bench._Draws(n, np.array([False]), one, one, one,
+                                np.array([a]), np.array([b]), ("cx",))
+
+        with pytest.raises(CircuitError, match="duplicate qubit"):
+            draws(1, 1)
+        with pytest.raises(CircuitError, match="out of range"):
+            draws(0, 3)
+        with pytest.raises(CircuitError, match="out of range"):
+            draws(-1, 0)
+        assert draws(0, 2).kind(0) == Controlled("X", (0,), 2)
 
 
 class TestSelectDead:

@@ -87,6 +87,16 @@ class TestOptimize:
         assert main(["optimize", str(src), str(tmp_path / "out.qasm")]) == 2
         assert capsys.readouterr().err.startswith(f"{src}: ")
 
+    def test_wire_measured_twice_exit_2(self, tmp_path, capsys):
+        text = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[2];\nh q[0];\n"
+                "measure q[0] -> c[0];\nmeasure q[0] -> c[1];\n")
+        src = write(tmp_path, "twice.qasm", text)
+        for argv in (["optimize", str(src), str(tmp_path / "out.qasm")],
+                     ["verify", str(src), str(src)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{src}:6: ") and "qubit q[0] measured twice" in err
+
     def test_qpe_breakdown(self, tmp_path, capsys):
         src = write(tmp_path, "qpe.qasm", fixtures.qpe_source(m=4, r=2))
         out = tmp_path / "out.qasm"
@@ -346,3 +356,20 @@ class TestUsage:
 
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
+
+    def test_parser_built_once_and_defaults_not_leaked(self, tmp_path, capsys):
+        from deadgate import cli
+
+        h = write(tmp_path, "h.qasm", one_qubit("h"))
+        x = write(tmp_path, "x.qasm", one_qubit("x"))
+        cli._parser.cache_clear()
+        assert main(["optimize", str(h), str(tmp_path / "out.qasm")]) == 0
+        assert main(["verify", str(h), str(x), "--samples", "3", "--seed", "7",
+                     "--tol", "0.999"]) == 0
+        first = capsys.readouterr().out
+        assert main(["verify", str(h), str(x)]) == 1
+        last = capsys.readouterr().out
+        assert cli._parser.cache_info().misses == 1
+        assert "samples: 3" in first and "tolerance: 0.999" in first
+        assert "samples: 20" in last and "tolerance: 1e-09" in last
+        assert "witness_state_seed: 0," in last

@@ -122,6 +122,15 @@ class TestParse:
                 "measure q[0] -> c[0];", "measure q[1] -> c[0];",
             ))
 
+    def test_wire_measured_twice(self):
+        with pytest.raises(QasmError) as err:
+            parse(program(
+                "qreg q[2];", "creg c[2];",
+                "measure q[0] -> c[0];", "measure q[0] -> c[1];",
+            ))
+        assert err.value.line == 6
+        assert "qubit q[0] measured twice" in str(err.value)
+
     def test_out_of_range_index(self):
         with pytest.raises(QasmError):
             parse(program("qreg q[2];", "h q[2];"))
