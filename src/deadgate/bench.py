@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .oracle import check_marginal_equiv
 
 _ONE_QUBIT = ("H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg")
 DEFAULT_PALETTE = ("cx", "cz", "swap")
+# the sweep runs the default rules, as `deadgate optimize` does
+_FLAGS = RuleFlags()
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,7 @@ class BenchConfig:
     programs: int = 1000
     seed: int = 0
     palette: tuple[str, ...] = DEFAULT_PALETTE
-    flags: RuleFlags = field(default_factory=RuleFlags)
     verify_fraction: float = 0.05
-    verify_samples: int = 20
     measure_time: bool = True
 
     def validate(self) -> None:
@@ -251,11 +251,11 @@ def select_dead(w: int, mode: DeadMode, seed) -> frozenset[int]:
     return frozenset(int(q) for q in perm[:k])
 
 
-def _spot_verify(original: Circuit, optimized: Circuit, seed, samples: int) -> None:
+def _spot_verify(original: Circuit, optimized: Circuit, seed) -> None:
     valid = [q for q in range(original.n) if q not in original.dead]
     mapped = [optimized.outcome_map[q] for q in valid]
     verdict = check_marginal_equiv(
-        original, optimized, valid, mapped, samples=samples, seed=seed, tol=1e-9
+        original, optimized, valid, mapped, seed=seed, tol=1e-9
     )
     if not verdict.equivalent:
         raise AssertionError(
@@ -282,12 +282,12 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], str]:
                 dead = select_dead(width, cfg.dead_mode, seed=(*root, 2))
                 circuit = Circuit(circuit.n, circuit.gates, dead, circuit.outcome_map)
                 start = time.perf_counter() if cfg.measure_time else 0.0
-                optimized, report = eliminate_dead_gates(circuit, cfg.flags)
+                optimized, report = eliminate_dead_gates(circuit, _FLAGS)
                 elapsed = (time.perf_counter() - start) * 1e6 if cfg.measure_time else 0.0
                 if verify_every and width <= 10:
                     candidates += 1
                     if candidates % verify_every == 0:
-                        _spot_verify(circuit, optimized, (*root, 3), cfg.verify_samples)
+                        _spot_verify(circuit, optimized, (*root, 3))
                 records.append(
                     BenchRecord(
                         width=width,
@@ -327,8 +327,8 @@ def manifest_json(cfg: BenchConfig, version: str) -> str:
         "programs": cfg.programs,
         "seed": cfg.seed,
         "palette": list(cfg.palette),
-        "extended": cfg.flags.extended,
-        "swap_relabel": cfg.flags.swap_relabel,
+        "extended": _FLAGS.extended,
+        "swap_relabel": _FLAGS.swap_relabel,
         "verify_fraction": cfg.verify_fraction,
         "measure_time": cfg.measure_time,
     }

@@ -138,7 +138,7 @@ def _load(path: Path):
     try:
         return parse(text)
     except QasmError as exc:
-        print(f"{path}:{exc.line}: {exc.args[0]}", file=sys.stderr)
+        print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
         return None
 
 

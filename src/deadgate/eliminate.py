@@ -32,7 +32,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit, Controlled, SingleQubit, Swap
+from .circuit import Circuit, Controlled, Gate, SingleQubit, Swap
 
 
 class RemovalRule(enum.Enum):
@@ -127,32 +127,31 @@ def eliminate_dead_gates(
     outcome_map = c.outcome_map
     removed: list[tuple[int, int, RemovedGate]] = []
     kept_entries: list[int] = []
+    kept: list[Gate] = []  # walked gates the pass keeps, last gate first
     walked = 0
     for g in reversed(c.gates):
-        if not unblocked:
-            break
         walked += 1
         qs = g.qubits
-        if any(blocked[q] for q in qs):
-            for q in qs:
-                if not blocked[q]:
-                    blocked[q] = 1
-                    unblocked -= 1
-            continue
-        entry = 1 + max(wire_sweep[q] for q in qs)
-        kind = g.kind
-        rule = _match_rule(kind, dead, flags)
-        if rule is None:
+        if not any(blocked[q] for q in qs):
+            entry = 1 + max(wire_sweep[q] for q in qs)
+            kind = g.kind
+            rule = _match_rule(kind, dead, flags)
+            if rule is not None:
+                for q in qs:
+                    wire_sweep[q] = entry
+                if rule is RemovalRule.R3:
+                    dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
+                removed.append((entry, g.id, RemovedGate(g.id, kind.summary(), rule.value)))
+                continue
             kept_entries.append(entry)
-            for q in qs:
-                blocked[q] = 1
-            unblocked -= len(qs)
-            continue
+        # a kept gate blocks every earlier gate on its wires
+        kept.append(g)
         for q in qs:
-            wire_sweep[q] = entry
-        if rule is RemovalRule.R3:
-            dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
-        removed.append((entry, g.id, RemovedGate(g.id, kind.summary(), rule.value)))
+            if not blocked[q]:
+                blocked[q] = 1
+                unblocked -= 1
+        if not unblocked:
+            break
 
     removed.sort(key=lambda r: (r[0], r[1]))
     iterations = removed[-1][0] + 1 if removed else 1
@@ -160,9 +159,7 @@ def eliminate_dead_gates(
     # kept frontier gate is checked in every sweep from its entry on
     gate_checks = len(removed) + sum(iterations - e + 1 for e in kept_entries)
     # every removed gate lies in the walked tail
-    dropped = {gid for _, gid, _ in removed}
-    stop = len(c.gates) - walked
-    gates = c.gates[:stop] + tuple(g for g in c.gates[stop:] if g.id not in dropped)
+    gates = c.gates[: len(c.gates) - walked] + tuple(reversed(kept))
 
     n0 = len(c.gates)
     assert gate_checks <= n0 * (n0 + 1), "quadratic sweep bound violated"

@@ -10,17 +10,19 @@ Grammar (one statement per line, ';'-terminated, '//' comments):
     <gate> q[i],...;                 // gates: h x y z s sdg t tdg rx(a)
                                      //   ry(a) rz(a) u3(a,b,c) cx cy cz
                                      //   crz(a) ccx ccz swap, plus applied
-                                     //   opaque blocks
+                                     //   opaque blocks; the wires of one
+                                     //   gate are distinct
     measure q[i] -> c[j];            // only after all gates; each q[i]
                                      //   and c[j] at most once
     #pragma dge discard q[i]         // outcome of wire i is discarded
 
 A wire is dead iff it is never measured or appears in a discard pragma.
-Angles accept float literals and pi expressions (+ - * / parentheses)
-whose every value is finite; serialization emits 17 significant digits
-so doubles round-trip. cz and ccz pick their highest-indexed wire as the
-represented target, which is sound by symmetry and keeps reports
-deterministic.
+Each gate is checked once, on the line that applies it, and an error
+names that line. Angles accept float literals and pi expressions
+(+ - * / parentheses) whose every value is finite; serialization emits
+17 significant digits so doubles round-trip. cz and ccz pick their
+highest-indexed wire as the represented target, which is sound by
+symmetry and keeps reports deterministic.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-from .circuit import (
+# build_circuit stays a name here: perfbench's tracer wraps qasm.build_circuit
+from .circuit import (  # noqa: F401
+    BASE_PARAMS,
     Circuit,
     CircuitError,
     Controlled,
+    Gate,
     GateKind,
     Opaque,
     SingleQubit,
@@ -42,25 +47,31 @@ from .circuit import (
 
 DIALECT_VERSION = "dge-qasm2/1"
 
-# name -> (base, n_params, n_qubits); controls/target wiring handled below
+# name -> (base, n_qubits); parameter counts come from BASE_PARAMS, and
+# controls/target wiring is handled below
 _STD_GATES = {
-    "h": ("H", 0, 1), "x": ("X", 0, 1), "y": ("Y", 0, 1), "z": ("Z", 0, 1),
-    "s": ("S", 0, 1), "sdg": ("Sdg", 0, 1), "t": ("T", 0, 1), "tdg": ("Tdg", 0, 1),
-    "rx": ("RX", 1, 1), "ry": ("RY", 1, 1), "rz": ("RZ", 1, 1), "u3": ("U3", 3, 1),
-    "cx": ("X", 0, 2), "cy": ("Y", 0, 2), "cz": ("Z", 0, 2),
-    "crz": ("RZ", 1, 2), "ccx": ("X", 0, 3), "ccz": ("Z", 0, 3),
-    "swap": (None, 0, 2),
+    "h": ("H", 1), "x": ("X", 1), "y": ("Y", 1), "z": ("Z", 1),
+    "s": ("S", 1), "sdg": ("Sdg", 1), "t": ("T", 1), "tdg": ("Tdg", 1),
+    "rx": ("RX", 1), "ry": ("RY", 1), "rz": ("RZ", 1), "u3": ("U3", 1),
+    "cx": ("X", 2), "cy": ("Y", 2), "cz": ("Z", 2),
+    "crz": ("RZ", 2), "ccx": ("X", 3), "ccz": ("Z", 3),
+    "swap": (None, 2),
+}
+# (base, number of controls) -> name of the controlled gate
+_CONTROLLED_NAMES = {
+    (base, nq - 1): name for name, (base, nq) in _STD_GATES.items() if base and nq > 1
 }
 _SYMMETRIC = {"cz", "ccz"}
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class QasmError(ValueError):
-    """Parse or serialization failure, carrying a 1-based line number."""
+    """Parse or serialization failure at 1-based `line`; `message` omits it."""
 
     def __init__(self, line: int, message: str) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 @dataclass
@@ -192,7 +203,7 @@ class _Parser:
         self.n = 0
         self.creg: str | None = None
         self.creg_size = 0
-        self.kinds: list[GateKind] = []
+        self.gates: list[Gate] = []
         self.measures: list[tuple[int, int]] = []
         self.used_clbits: set[int] = set()
         self.measured_wires: set[int] = set()
@@ -218,10 +229,9 @@ class _Parser:
             raise QasmError(1, "missing 'OPENQASM 2.0;' header")
         if self.qreg is None:
             raise QasmError(len(self.lines) or 1, "missing qreg declaration")
-        dead = (set(range(self.n)) - self.measured_wires) | self.discards
-        circuit = build_circuit(self.n, self.kinds, dead)
+        dead = (frozenset(range(self.n)) - self.measured_wires) | self.discards
         return SourceCircuit(
-            circuit=circuit,
+            circuit=Circuit(self.n, tuple(self.gates), dead, tuple(range(self.n))),
             measures=tuple(self.measures),
             opaque_decls=dict(self.opaque_decls),
             qreg=self.qreg,
@@ -334,15 +344,15 @@ class _Parser:
         arg_text = rest.strip()
         args = [self.qubit_ref(a, lineno) for a in arg_text.split(",")] if arg_text.strip() else []
         if name in _STD_GATES:
-            base, n_params, n_qubits = _STD_GATES[name]
+            base, n_qubits = _STD_GATES[name]
+            n_params = BASE_PARAMS[base] if base else 0
             params = _parse_angles(param_text, lineno) if param_text is not None else ()
             if len(params) != n_params:
                 raise QasmError(lineno, f"{name} expects {n_params} parameter(s)")
             if len(args) != n_qubits:
                 raise QasmError(lineno, f"{name} expects {n_qubits} qubit(s)")
-            self.kinds.append(self.std_kind(name, base, params, args, lineno))
-            return
-        if name in self.opaque_decls:
+            kind = self.std_kind(name, base, params, args)
+        elif name in self.opaque_decls:
             if param_text is not None:
                 raise QasmError(lineno, "opaque blocks take no parameters")
             if len(args) != self.opaque_decls[name]:
@@ -350,16 +360,16 @@ class _Parser:
                     lineno,
                     f"{name} expects {self.opaque_decls[name]} qubit(s), got {len(args)}",
                 )
-            self.kinds.append(Opaque(name, tuple(args)))
-            return
-        raise QasmError(lineno, f"unknown gate {name!r}")
-
-    def std_kind(
-        self, name: str, base: str | None, params: tuple[float, ...],
-        args: list[int], lineno: int,
-    ) -> GateKind:
+            kind = Opaque(name, tuple(args))
+        else:
+            raise QasmError(lineno, f"unknown gate {name!r}")
         if len(set(args)) != len(args):
             raise QasmError(lineno, f"duplicate qubit in {name}")
+        self.gates.append(Gate(len(self.gates), kind))
+
+    def std_kind(
+        self, name: str, base: str | None, params: tuple[float, ...], args: list[int]
+    ) -> GateKind:
         if name == "swap":
             return Swap(args[0], args[1])
         if len(args) == 1:
@@ -397,8 +407,7 @@ def gate_statement(kind: GateKind, qreg: str) -> str:
         return f"{kind.label} " + ",".join(q(w) for w in kind.wires)
     assert isinstance(kind, Controlled)
     nc = len(kind.controls)
-    name = {("X", 1): "cx", ("Y", 1): "cy", ("Z", 1): "cz",
-            ("RZ", 1): "crz", ("X", 2): "ccx", ("Z", 2): "ccz"}.get((kind.base, nc))
+    name = _CONTROLLED_NAMES.get((kind.base, nc))
     if name is None:
         raise CircuitError(
             f"controlled {kind.base} with {nc} control(s) has no dialect statement"

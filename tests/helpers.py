@@ -8,14 +8,19 @@ against kept wires, and kept wires read through a dead-wire pairing.
 `reference_marginal_equiv` is the oracle's check one sample at a time,
 each circuit simulated whole: the reference for the batched oracle.
 `eager_random_circuit` is the bench generator building every gate up
-front: the reference for its lazily built gate sequence.
+front: the reference for its lazily built gate sequence. `mutants` draws
+byte-mutated copies of the `deadgate.fixtures` programs, the inputs on
+which the parser must be total.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import re
 
-from deadgate import oracle
+import numpy as np
+from hypothesis import strategies as st
+
+from deadgate import fixtures, oracle
 from deadgate.bench import _ONE_QUBIT, DEFAULT_PALETTE
 from deadgate.circuit import Circuit, Controlled, GateKind, SingleQubit, Swap, build_circuit
 from deadgate.qasm import SourceCircuit
@@ -114,3 +119,36 @@ def eager_random_circuit(
         else:
             kinds.append(Swap(a, b))
     return build_circuit(w, kinds)
+
+
+FIXTURE_SOURCES = tuple(
+    getattr(fixtures, name)() for name in sorted(dir(fixtures)) if name.endswith("_source")
+)
+# bytes the dialect gives meaning to, drawn as often as all other bytes together
+_GRAMMAR_BYTES = b"0123456789[](),;:->/. \n\"#qcpiU"
+
+
+@st.composite
+def mutants(draw) -> bytes:
+    """A fixture program with one or two bytes replaced, inserted or
+    deleted. Half the edits copy the first digit of one bracketed index
+    over that of another, so that gates naming one wire twice come up often."""
+    data = bytearray(draw(st.sampled_from(FIXTURE_SOURCES)).encode())
+    byte = st.one_of(st.sampled_from(_GRAMMAR_BYTES), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(("replace", "insert", "delete", "index", "index", "index")))
+        if op == "index":
+            indices = [m.start() for m in re.finditer(rb"(?<=\[)\d", data)]
+            if indices:
+                digit = data[draw(st.sampled_from(indices))]
+                data[draw(st.sampled_from(indices))] = digit
+            continue
+        pos = draw(st.integers(0, len(data)))
+        if op == "insert":
+            data.insert(pos, draw(byte))
+        elif pos < len(data):
+            if op == "replace":
+                data[pos] = draw(byte)
+            else:
+                del data[pos]
+    return bytes(data)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -5,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from deadgate import fixtures
 from deadgate.cli import main
+
+from helpers import mutants
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -106,6 +112,57 @@ class TestOptimize:
         rules = [r["rule"] for r in doc["removed"]]
         assert rules.count("R2_controlled_target_dead") == 4
         assert rules.count("R1_single_on_dead") == 1
+
+
+class TestParseErrors:
+    """A file the parser rejects exits 2 with `path:line: message`, the
+    line named once, from optimize and from verify alike."""
+
+    @pytest.mark.parametrize("lines, line, message", [
+        (["qreg q[1];", "frobnicate q[0];"], 4, "unknown gate 'frobnicate'"),
+        (["qreg q[1];", "creg c[2];", "h q[0];", "measure q[0] -> c[0];",
+          "measure q[0] -> c[1];"], 7, "qubit q[0] measured twice"),
+        (["qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"], 5, "duplicate qubit in U"),
+    ], ids=["unknown_gate", "wire_measured_twice", "opaque_wire_twice"])
+    def test_exact_stderr(self, tmp_path, capsys, lines, line, message):
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n' + "\n".join(lines) + "\n"
+        bad = write(tmp_path, "bad.qasm", text)
+        good = write(tmp_path, "good.qasm", fixtures.cnot_source())
+        expected = f"{bad}:{line}: {message}\n"
+        for argv, errors in (
+            (["optimize", str(bad), str(tmp_path / "out.qasm")], 1),
+            (["verify", str(bad), str(good)], 1),
+            (["verify", str(good), str(bad)], 1),
+            (["verify", str(bad), str(bad)], 2),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", expected * errors)
+
+
+@pytest.fixture(scope="module")
+def fresh_paths(tmp_path_factory):
+    """A new file path on each call: rewriting one file that was just
+    truncated to zero costs milliseconds on ext4, writing a new one does not."""
+    directory = tmp_path_factory.mktemp("mutants")
+    return (directory / f"{i}.qasm" for i in itertools.count())
+
+
+class TestMutants:
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutants())
+    def test_optimize_and_verify_exit_0_or_2(self, data, fresh_paths):
+        src = next(fresh_paths)
+        src.write_bytes(data)
+        for argv in (["optimize", str(src), str(next(fresh_paths))],
+                     ["verify", str(src), str(src)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            # exit 1 would say the file is inequivalent to itself
+            assert code in (0, 2)
+            if code == 2 and argv[0] == "optimize":
+                assert err.getvalue().startswith(f"{src}:")
 
 
 class TestVerify:

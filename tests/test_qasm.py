@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from deadgate import (
     Controlled,
@@ -13,7 +14,7 @@ from deadgate import (
 )
 from deadgate.fixtures import three_qubit_example_source
 
-from helpers import source_from_circuit
+from helpers import mutants, source_from_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -147,6 +148,17 @@ class TestParse:
         with pytest.raises(QasmError):
             parse(program("qreg q[2];", "cx q[1],q[1];"))
 
+    def test_opaque_naming_one_wire_twice_rejected(self):
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"))
+        assert err.value.line == 5
+        assert err.value.message == "duplicate qubit in U"
+
+    def test_opaque_arity_reported_before_duplicates(self):
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg q[2];", "opaque U p0,p1;", "U q[0],q[0],q[1];"))
+        assert err.value.message == "U expects 2 qubit(s), got 3"
+
     def test_comments_ignored(self):
         text = program(
             "qreg q[1]; // one wire",
@@ -227,3 +239,20 @@ class TestSerialize:
         out = serialize(sc)
         assert "#pragma dge discard q[0]" in out
         assert "#pragma dge discard q[1]" in out
+
+
+class TestParseIsTotal:
+    """Byte-mutated fixtures: the parser accepts or rejects, never crashes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=mutants())
+    def test_mutant_parses_to_checked_circuit_or_raises_qasm_error(self, data):
+        try:
+            sc = parse(data.decode("latin-1"))
+        except QasmError:
+            return
+        c = sc.circuit
+        # the parser's own checks admit only what build_circuit admits
+        assert c == build_circuit(c.n, [g.kind for g in c.gates], c.dead)
+        text = serialize(sc)
+        assert serialize(parse(text)) == text
