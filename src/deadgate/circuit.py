@@ -123,8 +123,8 @@ def _check_kind(kind: GateKind, n: int) -> None:
 class Gate:
     """One circuit element: a stable id plus its kind.
 
-    `qubits` is derived from the kind at construction and cached because
-    frontier scans touch it constantly.
+    `qubits` is derived from the kind once, at construction: the pass's
+    walk and the oracle's compile step read it as a plain attribute.
     """
 
     id: int

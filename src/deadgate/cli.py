@@ -148,7 +148,7 @@ def cmd_optimize(args) -> int:
         return 2
     flags = RuleFlags(extended=args.extended, swap_relabel=not args.no_swap_relabel)
     optimized, report = eliminate_dead_gates(src.circuit, flags)
-    out_text = serialize(src.with_circuit(optimized), optimized.outcome_map)
+    out_text = serialize(src.with_circuit(optimized))
     try:
         _write(args.output, out_text)
         if args.report:

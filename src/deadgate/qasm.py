@@ -4,8 +4,8 @@ Grammar (one statement per line, ';'-terminated, '//' comments):
 
     OPENQASM 2.0;
     include "qelib1.inc";            // optional, ignored
-    qreg NAME[n];                    // exactly one quantum register
-    creg NAME[m];                    // at most one classical register
+    qreg NAME[n];                    // exactly one quantum register, n <= 65536
+    creg NAME[m];                    // at most one classical register, m <= 65536
     opaque NAME p0,p1,...;           // declares an uninterpreted block
     <gate> q[i],...;                 // gates: h x y z s sdg t tdg rx(a)
                                      //   ry(a) rz(a) u3(a,b,c) cx cy cz
@@ -16,13 +16,16 @@ Grammar (one statement per line, ';'-terminated, '//' comments):
                                      //   and c[j] at most once
     #pragma dge discard q[i]         // outcome of wire i is discarded
 
-A wire is dead iff it is never measured or appears in a discard pragma.
-Each gate is checked once, on the line that applies it, and an error
-names that line. Angles accept float literals and pi expressions
-(+ - * / parentheses) whose every value is finite; serialization emits
-17 significant digits so doubles round-trip. cz and ccz pick their
-highest-indexed wire as the represented target, which is sound by
-symmetry and keeps reports deterministic.
+Only a newline ends a line (a text-mode read makes one of CR LF and CR),
+and '//' always starts a comment. A statement's whole first word picks
+its kind, so OPENQASM, include, qreg, creg, opaque and measure name no
+opaque block. A wire is dead iff it is never measured or appears in a
+discard pragma. Each gate is checked once, on the line that applies it,
+and an error names that line. Angles accept float literals and pi
+expressions (+ - * / parentheses) whose every value is finite;
+serialization emits 17 significant digits so doubles round-trip. cz and
+ccz pick their highest-indexed wire as the represented target, which is
+sound by symmetry and keeps reports deterministic.
 """
 
 from __future__ import annotations
@@ -62,7 +65,22 @@ _CONTROLLED_NAMES = {
     (base, nq - 1): name for name, (base, nq) in _STD_GATES.items() if base and nq > 1
 }
 _SYMMETRIC = {"cz", "ccz"}
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_KEYWORDS = {"OPENQASM", "include", "qreg", "creg", "opaque", "measure"}
+# a larger register is refused: every command allocates per declared wire
+MAX_REGISTER = 65536
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_REF = re.compile(rf"({_NAME})\s*\[\s*(\d+)\s*\]")  # registers and q[i], c[j]
+# a gate's parameters run to the last ')', as qubit arguments have none
+_GATE = re.compile(rf"({_NAME})\s*(?:\((.*)\))?(.*)")
+_HEADER = re.compile(r"OPENQASM\s+2\.0")
+_INCLUDE = re.compile(r'include\s+"qelib1\.inc"')
+_OPAQUE = re.compile(rf"opaque\s+({_NAME})\s+(.+)")
+_FORMALS = re.compile(rf"{_NAME}(?:\s*,\s*{_NAME})*")
+_MEASURE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)")
+_PRAGMA = re.compile(r"#pragma\s+dge\s+discard\s+(.+)")
+_ANGLE_TOKEN = re.compile(r"pi|\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
+                          r"|\d+(?:[eE][-+]?\d+)?|[()+\-*/]|\S")
 
 
 class QasmError(ValueError):
@@ -72,6 +90,13 @@ class QasmError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+def _int(digits: str) -> int:
+    """A register size or index, or MAX_REGISTER + 1 for any larger one: int()
+    never sees more digits than a valid one has, whatever its own limit."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(MAX_REGISTER)) else MAX_REGISTER + 1
 
 
 @dataclass
@@ -89,21 +114,6 @@ class SourceCircuit:
         return replace(self, circuit=circuit)
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == '"':
-            in_str = not in_str
-        elif ch == "/" and not in_str and line.startswith("//", i):
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 class _AngleParser:
     """Tiny recursive-descent evaluator for pi arithmetic in gate params.
 
@@ -114,8 +124,7 @@ class _AngleParser:
     MAX_DEPTH = 100
 
     def __init__(self, text: str, line: int) -> None:
-        self.toks = re.findall(r"pi|\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
-                               r"|\d+(?:[eE][-+]?\d+)?|[()+\-*/]|\S", text)
+        self.toks = _ANGLE_TOKEN.findall(text)
         self.pos = 0
         self.depth = 0
         self.line = line
@@ -197,8 +206,7 @@ def _parse_angles(text: str, line: int) -> tuple[float, ...]:
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
+    def __init__(self) -> None:
         self.qreg: str | None = None
         self.n = 0
         self.creg: str | None = None
@@ -209,26 +217,46 @@ class _Parser:
         self.measured_wires: set[int] = set()
         self.discards: set[int] = set()
         self.opaque_decls: dict[str, int] = {}
-        self.saw_header = False
 
-    def run(self) -> SourceCircuit:
-        for lineno, raw in enumerate(self.lines, start=1):
-            text = _strip_comment(raw).strip()
-            if not text:
+    def statements(self, text: str):
+        """(line, text without ';') per statement; pragmas are read here."""
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.partition("//")[0].strip()
+            if not line:
                 continue
-            if text.startswith("#pragma"):
-                self.pragma(text.rstrip(";").strip(), lineno)
-                continue
-            if not text.endswith(";"):
+            if line.startswith("#pragma"):
+                self.pragma(line.rstrip(";").strip(), lineno)
+            elif not line.endswith(";"):
                 raise QasmError(lineno, "statement must end with ';'")
-            stmt = text[:-1].strip()
-            if ";" in stmt:
+            elif ";" in line[:-1]:
                 raise QasmError(lineno, "one statement per line")
-            self.statement(stmt, lineno)
-        if not self.saw_header:
+            else:
+                yield lineno, line[:-1].strip()
+
+    def run(self, text: str) -> SourceCircuit:
+        statements = self.statements(text)
+        lineno, stmt = next(statements, (1, None))
+        if stmt is None:
             raise QasmError(1, "missing 'OPENQASM 2.0;' header")
+        if not _HEADER.fullmatch(stmt):
+            raise QasmError(lineno, "first statement must be 'OPENQASM 2.0;'")
+        for lineno, stmt in statements:
+            m = _GATE.match(stmt)
+            word = m and m[1]
+            if word == "include":
+                if not _INCLUDE.fullmatch(stmt):
+                    raise QasmError(lineno, "only 'include \"qelib1.inc\";' is supported")
+            elif word in ("qreg", "creg"):
+                self.register(word, stmt, lineno)
+            elif word == "opaque":
+                self.opaque_decl(stmt, lineno)
+            elif word == "measure":
+                self.measure(stmt, lineno)
+            else:
+                self.gate(m, stmt, lineno)
         if self.qreg is None:
-            raise QasmError(len(self.lines) or 1, "missing qreg declaration")
+            lines = text.count("\n") + (not text.endswith("\n"))
+            raise QasmError(lines, "missing qreg declaration")
         dead = (frozenset(range(self.n)) - self.measured_wires) | self.discards
         return SourceCircuit(
             circuit=Circuit(self.n, tuple(self.gates), dead, tuple(range(self.n))),
@@ -239,71 +267,57 @@ class _Parser:
             creg_size=self.creg_size,
         )
 
-    def statement(self, stmt: str, lineno: int) -> None:
-        if not self.saw_header:
-            if re.fullmatch(r"OPENQASM\s+2\.0", stmt):
-                self.saw_header = True
-                return
-            raise QasmError(lineno, "first statement must be 'OPENQASM 2.0;'")
-        if stmt.startswith("include"):
-            if re.fullmatch(r'include\s+"qelib1\.inc"', stmt):
-                return
-            raise QasmError(lineno, "only 'include \"qelib1.inc\";' is supported")
-        m = re.fullmatch(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]", stmt)
-        if m:
-            self.register(m.group(1), m.group(2), int(m.group(3)), lineno)
-            return
-        if stmt.startswith("opaque"):
-            self.opaque_decl(stmt, lineno)
-            return
-        if stmt.startswith("measure"):
-            self.measure(stmt, lineno)
-            return
-        self.gate(stmt, lineno)
-
-    def register(self, kind: str, name: str, size: int, lineno: int) -> None:
+    def register(self, kind: str, stmt: str, lineno: int) -> None:
+        m = _REF.fullmatch(stmt[len(kind):].strip())
+        if not m:
+            raise QasmError(lineno, f"malformed {kind} declaration")
+        size = _int(m[2])
+        if size > MAX_REGISTER:
+            raise QasmError(lineno, f"{kind} size {m[2]} above the maximum of {MAX_REGISTER}")
         if kind == "qreg":
             if self.qreg is not None:
                 raise QasmError(lineno, "only one qreg is supported")
-            self.qreg, self.n = name, size
+            self.qreg, self.n = m[1], size
         else:
             if self.creg is not None:
                 raise QasmError(lineno, "only one creg is supported")
-            self.creg, self.creg_size = name, size
+            self.creg, self.creg_size = m[1], size
 
     def opaque_decl(self, stmt: str, lineno: int) -> None:
-        m = re.fullmatch(r"opaque\s+([A-Za-z_][A-Za-z0-9_]*)\s+(.+)", stmt)
+        m = _OPAQUE.fullmatch(stmt)
         if not m:
             raise QasmError(lineno, "malformed opaque declaration")
-        name, formals = m.group(1), [p.strip() for p in m.group(2).split(",")]
+        name = m[1]
         if name in _STD_GATES:
             raise QasmError(lineno, f"opaque name {name!r} shadows a builtin gate")
+        if name in _KEYWORDS:
+            raise QasmError(lineno, f"opaque name {name!r} is a reserved word")
         if name in self.opaque_decls:
             raise QasmError(lineno, f"opaque {name!r} redeclared")
-        if not formals or any(not _IDENT.fullmatch(p) for p in formals):
+        if not _FORMALS.fullmatch(m[2]):
             raise QasmError(lineno, "opaque formals must be identifiers")
-        self.opaque_decls[name] = len(formals)
+        self.opaque_decls[name] = m[2].count(",") + 1
 
     def qubit_ref(self, text: str, lineno: int) -> int:
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]", text.strip())
-        if not m or m.group(1) != self.qreg:
+        m = _REF.fullmatch(text.strip())
+        if not m or m[1] != self.qreg:
             raise QasmError(lineno, f"expected {self.qreg or 'q'}[i], got {text.strip()!r}")
-        idx = int(m.group(2))
+        idx = _int(m[2])
         if idx >= self.n:
-            raise QasmError(lineno, f"qubit index {idx} out of range (n={self.n})")
+            raise QasmError(lineno, f"qubit index {m[2]} out of range (n={self.n})")
         return idx
 
     def measure(self, stmt: str, lineno: int) -> None:
-        m = re.fullmatch(r"measure\s+(.+?)\s*->\s*(.+)", stmt)
+        m = _MEASURE.fullmatch(stmt)
         if not m:
             raise QasmError(lineno, "malformed measure statement")
-        wire = self.qubit_ref(m.group(1), lineno)
-        cm = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]", m.group(2).strip())
-        if not cm or self.creg is None or cm.group(1) != self.creg:
+        wire = self.qubit_ref(m[1], lineno)
+        cm = _REF.fullmatch(m[2].strip())
+        if not cm or self.creg is None or cm[1] != self.creg:
             raise QasmError(lineno, f"expected {self.creg or 'c'}[j] measure target")
-        clbit = int(cm.group(2))
+        clbit = _int(cm[2])
         if clbit >= self.creg_size:
-            raise QasmError(lineno, f"classical bit {clbit} out of range (m={self.creg_size})")
+            raise QasmError(lineno, f"classical bit {cm[2]} out of range (m={self.creg_size})")
         if clbit in self.used_clbits:
             raise QasmError(lineno, f"classical bit {clbit} measured twice")
         if wire in self.measured_wires:
@@ -314,35 +328,22 @@ class _Parser:
         self.measures.append((wire, clbit))
 
     def pragma(self, text: str, lineno: int) -> None:
-        m = re.fullmatch(r"#pragma\s+dge\s+discard\s+(.+)", text)
+        m = _PRAGMA.fullmatch(text)
         if not m:
             raise QasmError(lineno, "unknown pragma (expected '#pragma dge discard q[i]')")
         if self.qreg is None:
             raise QasmError(lineno, "discard pragma before qreg declaration")
-        self.discards.add(self.qubit_ref(m.group(1), lineno))
+        self.discards.add(self.qubit_ref(m[1], lineno))
 
-    def gate(self, stmt: str, lineno: int) -> None:
+    def gate(self, m: re.Match | None, stmt: str, lineno: int) -> None:
         if self.measures:
             raise QasmError(lineno, "gate after measure (mid-circuit measurement)")
         if self.qreg is None:
             raise QasmError(lineno, "gate before qreg declaration")
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*", stmt)
         if not m:
             raise QasmError(lineno, f"cannot parse statement {stmt!r}")
-        name = m.group(1)
-        rest = stmt[m.end():]
-        param_text = None
-        if rest.startswith("("):
-            depth = 0
-            for i, ch in enumerate(rest):
-                depth += {"(": 1, ")": -1}.get(ch, 0)
-                if depth == 0:
-                    param_text, rest = rest[1:i], rest[i + 1 :]
-                    break
-            else:
-                raise QasmError(lineno, "unbalanced parentheses in gate parameters")
-        arg_text = rest.strip()
-        args = [self.qubit_ref(a, lineno) for a in arg_text.split(",")] if arg_text.strip() else []
+        name, param_text, arg_text = m[1], m[2], m[3].strip()
+        args = [self.qubit_ref(a, lineno) for a in arg_text.split(",")] if arg_text else []
         if name in _STD_GATES:
             base, n_qubits = _STD_GATES[name]
             n_params = BASE_PARAMS[base] if base else 0
@@ -355,11 +356,9 @@ class _Parser:
         elif name in self.opaque_decls:
             if param_text is not None:
                 raise QasmError(lineno, "opaque blocks take no parameters")
-            if len(args) != self.opaque_decls[name]:
-                raise QasmError(
-                    lineno,
-                    f"{name} expects {self.opaque_decls[name]} qubit(s), got {len(args)}",
-                )
+            arity = self.opaque_decls[name]
+            if len(args) != arity:
+                raise QasmError(lineno, f"{name} expects {arity} qubit(s), got {len(args)}")
             kind = Opaque(name, tuple(args))
         else:
             raise QasmError(lineno, f"unknown gate {name!r}")
@@ -385,7 +384,7 @@ class _Parser:
 
 def parse(text: str) -> SourceCircuit:
     """Parse dialect source into a circuit plus measurement tables."""
-    return _Parser(text).run()
+    return _Parser().run(text)
 
 
 def _fmt_angle(x: float) -> str:
@@ -420,9 +419,9 @@ def gate_statement(kind: GateKind, qreg: str) -> str:
     return f"{name}{params} " + ",".join(q(w) for w in wires)
 
 
-def serialize(sc: SourceCircuit, outcome_map: tuple[int, ...] | None = None) -> str:
-    """Emit dialect source; measure wires are routed through the outcome map."""
-    om = outcome_map if outcome_map is not None else sc.circuit.outcome_map
+def serialize(sc: SourceCircuit) -> str:
+    """Emit dialect source; measure wires are routed through the circuit's
+    outcome map."""
     c = sc.circuit
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg {sc.qreg}[{c.n}];"]
     if sc.creg_size or sc.measures:
@@ -433,7 +432,7 @@ def serialize(sc: SourceCircuit, outcome_map: tuple[int, ...] | None = None) -> 
     for g in c.gates:
         lines.append(gate_statement(g.kind, sc.qreg) + ";")
     for wire, clbit in sc.measures:
-        lines.append(f"measure {sc.qreg}[{om[wire]}] -> {sc.creg}[{clbit}];")
+        lines.append(f"measure {sc.qreg}[{c.outcome_map[wire]}] -> {sc.creg}[{clbit}];")
     for wire in sorted(c.dead):
         lines.append(f"#pragma dge discard {sc.qreg}[{wire}]")
     return "\n".join(lines) + "\n"

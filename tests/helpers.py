@@ -10,7 +10,8 @@ each circuit simulated whole: the reference for the batched oracle.
 `eager_random_circuit` is the bench generator building every gate up
 front: the reference for its lazily built gate sequence. `mutants` draws
 byte-mutated copies of the `deadgate.fixtures` programs, the inputs on
-which the parser must be total.
+which the parser must be total. `programs` draws valid programs, the
+inputs the parser must accept.
 """
 
 from __future__ import annotations
@@ -152,3 +153,61 @@ def mutants(draw) -> bytes:
             else:
                 del data[pos]
     return bytes(data)
+
+
+# every built-in gate: name -> (parameters, qubits)
+BUILTIN_GATES = {
+    **{name: (0, 1) for name in ("h", "x", "y", "z", "s", "sdg", "t", "tdg")},
+    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "u3": (3, 1),
+    "cx": (0, 2), "cy": (0, 2), "cz": (0, 2), "crz": (1, 2),
+    "ccx": (0, 3), "ccz": (0, 3), "swap": (0, 2),
+}
+# opaque labels that start with, or contain, the dialect's keywords
+OPAQUE_LABELS = ("measure_x", "include2", "opaque_u", "creg1", "qreg_", "OPENQASMx", "U")
+# comment text, some holding characters that str.splitlines() breaks on
+COMMENTS = ("", " note", ' "quoted', " a\x0cb", " a\u2028b", " x // y")
+
+
+def _angles() -> st.SearchStrategy[str]:
+    """Angle expressions with finite values: literals and pi under + - *,
+    unary minus and parentheses, divided only by nonzero literals."""
+    literal = st.sampled_from(("pi", "0", "1", "2", "0.5", "1.5e-3", ".25", "3."))
+    divisor = st.sampled_from(("2", "3", "4", "0.5", "pi"))
+    return st.recursive(literal, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
+        st.tuples(inner, divisor).map("/".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+    ), max_leaves=6)
+
+
+@st.composite
+def programs(draw) -> str:
+    """A valid dialect program: every built-in gate and opaque blocks named
+    after keywords, angle expressions, measures, discard pragmas and
+    comments, with the spacing varied."""
+    n = draw(st.integers(3, 6))
+    qreg, creg = draw(st.sampled_from((("q", "c"), ("measure", "opaque"), ("r2", "qreg"))))
+    sp = st.sampled_from((" ", "  ", "\t"))
+
+    def ref(i: int) -> str:
+        return f"{qreg}[{i}]"
+
+    labels = draw(st.lists(st.sampled_from(OPAQUE_LABELS), unique=True, max_size=3))
+    arity = {label: draw(st.integers(1, n)) for label in labels}
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg{draw(sp)}{qreg}[{n}];",
+             f"creg {creg}[{n}];"]
+    lines += [f"opaque {label} " + ",".join(f"p{i}" for i in range(k)) + ";"
+              for label, k in arity.items()]
+    names = st.sampled_from(sorted(BUILTIN_GATES) + labels)
+    for name in draw(st.lists(names, max_size=12)):
+        n_params, n_qubits = BUILTIN_GATES.get(name, (0, arity.get(name)))
+        wires = draw(st.permutations(range(n)))[:n_qubits]
+        params = f"({','.join(draw(_angles()) for _ in range(n_params))})" if n_params else ""
+        lines.append(f"{name}{params}{draw(sp)}" + ",".join(ref(w) for w in wires) + ";")
+    measured = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    lines += [f"measure {ref(w)} -> {creg}[{b}];" for b, w in enumerate(measured)]
+    lines += [f"#pragma dge discard {ref(w)}" for w in draw(st.sets(st.integers(0, n - 1)))]
+    lines = [line + (f" //{draw(st.sampled_from(COMMENTS))}" if draw(st.booleans()) else "")
+             for line in lines]
+    return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ def test_criterion_2_vqe_fixture():
         g.kind for g in simplified.circuit.gates
     ]
     assert optimized.dead == simplified.circuit.dead
-    out = serialize(src.with_circuit(optimized), optimized.outcome_map)
+    out = serialize(src.with_circuit(optimized))
     assert len(parse(out).circuit.gates) == 5
     print("\nACCEPTANCE 2: PASS - 7 removals (4xR1 + 3xR2), output matches A2")
 

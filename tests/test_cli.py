@@ -25,6 +25,10 @@ def write(tmp_path, name, text):
     return path
 
 
+NINES = "9" * 5000
+KEYWORDS = ("OPENQASM", "include", "qreg", "creg", "opaque", "measure")
+
+
 def one_qubit(gate):
     """A one-qubit file applying `gate` and measuring the wire."""
     return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
@@ -123,7 +127,24 @@ class TestParseErrors:
         (["qreg q[1];", "creg c[2];", "h q[0];", "measure q[0] -> c[0];",
           "measure q[0] -> c[1];"], 7, "qubit q[0] measured twice"),
         (["qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"], 5, "duplicate qubit in U"),
-    ], ids=["unknown_gate", "wire_measured_twice", "opaque_wire_twice"])
+        # numbers past int()'s digit limit, in each statement that has one
+        ([f"qreg q[{NINES}];"], 3, f"qreg size {NINES} above the maximum of 65536"),
+        (["qreg q[1];", f"creg c[{NINES}];"], 4,
+         f"creg size {NINES} above the maximum of 65536"),
+        (["qreg q[1];", f"h q[{NINES}];"], 4, f"qubit index {NINES} out of range (n=1)"),
+        (["qreg q[1];", "creg c[1];", f"measure q[0] -> c[{NINES}];"], 5,
+         f"classical bit {NINES} out of range (m=1)"),
+        (["qreg q[1];", f"#pragma dge discard q[{NINES}]"], 4,
+         f"qubit index {NINES} out of range (n=1)"),
+        # only a newline ends a line
+        (["qreg q[1];", "h q[0];\x0ch q[0];"], 4, "one statement per line"),
+        (["// a\x0cb", "qreg q[1];", "frobnicate q[0];"], 5, "unknown gate 'frobnicate'"),
+        *((["qreg q[1];", f"opaque {word} p0;"], 4, f"opaque name {word!r} is a reserved word")
+          for word in KEYWORDS),
+    ], ids=["unknown_gate", "wire_measured_twice", "opaque_wire_twice", "long_qreg",
+            "long_creg", "long_gate_arg", "long_measure_target", "long_discard",
+            "form_feed_between_statements", "form_feed_in_comment",
+            *(f"opaque_named_{word}" for word in KEYWORDS)])
     def test_exact_stderr(self, tmp_path, capsys, lines, line, message):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n' + "\n".join(lines) + "\n"
         bad = write(tmp_path, "bad.qasm", text)

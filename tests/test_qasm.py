@@ -14,7 +14,7 @@ from deadgate import (
 )
 from deadgate.fixtures import three_qubit_example_source
 
-from helpers import mutants, source_from_circuit
+from helpers import mutants, programs, source_from_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -159,6 +159,18 @@ class TestParse:
             parse(program("qreg q[2];", "opaque U p0,p1;", "U q[0],q[0],q[1];"))
         assert err.value.message == "U expects 2 qubit(s), got 3"
 
+    def test_register_size_bound(self):
+        assert parse(program("qreg q[65536];", "creg c[65536];")).circuit.n == 65536
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg q[1000000];"))
+        assert err.value.line == 3
+        assert err.value.message == "qreg size 1000000 above the maximum of 65536"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"], ids=["form_feed", "u2028"])
+    def test_comment_holding_line_separator_ignored(self, separator):
+        text = program("qreg q[1];", f"// a{separator}h q[0];", "x q[0];")
+        assert [g.kind for g in parse(text).circuit.gates] == [SingleQubit("X", 0)]
+
     def test_comments_ignored(self):
         text = program(
             "qreg q[1]; // one wire",
@@ -209,7 +221,7 @@ class TestSerialize:
         from deadgate import eliminate_dead_gates
 
         opt, _ = eliminate_dead_gates(sc.circuit)
-        out = serialize(sc.with_circuit(opt), opt.outcome_map)
+        out = serialize(sc.with_circuit(opt))
         assert "measure q[0] -> c[1];" in out
         assert "#pragma dge discard q[1]" in out
         again = parse(out)
@@ -239,6 +251,15 @@ class TestSerialize:
         out = serialize(sc)
         assert "#pragma dge discard q[0]" in out
         assert "#pragma dge discard q[1]" in out
+
+
+class TestGeneratedPrograms:
+    @settings(max_examples=300, deadline=None)
+    @given(text=programs())
+    def test_parses_and_reserializes_byte_stably(self, text):
+        sc = parse(text)
+        out = serialize(sc)
+        assert serialize(parse(out)) == out
 
 
 class TestParseIsTotal:
