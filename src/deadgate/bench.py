@@ -19,6 +19,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .circuit import (  # noqa: F401
     GateKind,
     SingleQubit,
     Swap,
-    _check_kind,
     build_circuit,
 )
 from .eliminate import RuleFlags, eliminate_dead_gates
@@ -122,24 +122,17 @@ class BenchRecord:
     elapsed_micros: float
 
 
-class _Draws:
-    """The generator's per-gate draws for one circuit, checked once as
-    whole arrays: every wire in range, and two distinct wires per
-    two-qubit gate."""
+class _Draws(NamedTuple):
+    """The generator's per-gate draws for one circuit. `random_circuit`
+    draws every wire in range and two distinct wires per two-qubit gate."""
 
-    __slots__ = ("is_1q", "base_idx", "wire", "pal_idx", "a", "b", "palette")
-
-    def __init__(self, n, is_1q, base_idx, wire, pal_idx, a, b, palette) -> None:
-        self.is_1q, self.base_idx, self.wire = is_1q, base_idx, wire
-        self.pal_idx, self.a, self.b, self.palette = pal_idx, a, b, palette
-        bad = np.where(
-            is_1q,
-            (wire < 0) | (wire >= n),
-            (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b),
-        )
-        if bad.any():
-            # raises the CircuitError build_circuit gives for the first bad gate
-            _check_kind(self.kind(int(bad.argmax())), n)
+    is_1q: np.ndarray
+    base_idx: np.ndarray
+    wire: np.ndarray
+    pal_idx: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    palette: tuple[str, ...]
 
     def kind(self, i: int) -> GateKind:
         if self.is_1q.item(i):
@@ -223,9 +216,11 @@ def random_circuit(
     fraction_1q (uniform base, uniform wire), otherwise a uniform palette
     pick on a uniform ordered pair of distinct wires.
 
-    All gates are drawn at once; each `Gate` is built only where its index
-    is read (see `DrawnGates`)."""
-    if w < 2 and fraction_1q < 1.0:
+    All gates are drawn at once, every wire in range by construction:
+    a two-qubit gate's second wire is its first shifted by 1 to w-1
+    modulo w. Each `Gate` is built only where its index is read (see
+    `DrawnGates`)."""
+    if w < 2 and not fraction_1q >= 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)
     is_1q = rng.random(gates) < fraction_1q
@@ -234,7 +229,7 @@ def random_circuit(
     pal_idx = rng.integers(0, len(palette), size=gates)
     first = rng.integers(0, w, size=gates)
     shift = rng.integers(1, w, size=gates) if w > 1 else np.zeros(gates, dtype=int)
-    draws = _Draws(w, is_1q, base_idx, wire, pal_idx, first, (first + shift) % w, palette)
+    draws = _Draws(is_1q, base_idx, wire, pal_idx, first, (first + shift) % w, palette)
     return Circuit(w, DrawnGates(draws, gates), frozenset(), tuple(range(w)))
 
 

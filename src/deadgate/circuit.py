@@ -135,6 +135,7 @@ class Gate:
         self.qubits = self.kind.qubits()
 
 
+@dataclass(slots=True)
 class Circuit:
     """Gate list over n wires with dead set and outcome map.
 
@@ -144,41 +145,10 @@ class Circuit:
     Treated as immutable: passes return new circuits.
     """
 
-    __slots__ = ("n", "gates", "dead", "outcome_map")
-
-    def __init__(
-        self,
-        n: int,
-        gates: Sequence[Gate],
-        dead: frozenset[int],
-        outcome_map: tuple[int, ...],
-    ) -> None:
-        self.n = n
-        self.gates = gates
-        self.dead = dead
-        self.outcome_map = outcome_map
-
-    def opaque_labels(self) -> dict[str, int]:
-        """Labels of opaque blocks in the circuit, mapped to their arity."""
-        labels: dict[str, int] = {}
-        for g in self.gates:
-            if isinstance(g.kind, Opaque):
-                arity = len(g.kind.wires)
-                if labels.setdefault(g.kind.label, arity) != arity:
-                    raise CircuitError(
-                        f"opaque label {g.kind.label!r} used with inconsistent arity"
-                    )
-        return labels
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.gates == other.gates
-            and self.dead == other.dead
-            and self.outcome_map == other.outcome_map
-        )
+    n: int
+    gates: Sequence[Gate]
+    dead: frozenset[int]
+    outcome_map: tuple[int, ...]
 
     def __repr__(self) -> str:
         return (

@@ -226,9 +226,9 @@ def cmd_verify(args) -> int:
         # more accepts every pair; a negative or NaN one accepts none
         print(f"--tol must be finite and in [0, 1), got {args.tol}", file=sys.stderr)
         return 2
-    a = _load(args.a)
-    b = _load(args.b)
-    if a is None or b is None:
+    # the second file is read only if the first loads, so one bad file
+    # given twice is reported once
+    if (a := _load(args.a)) is None or (b := _load(args.b)) is None:
         return 2
     ca, cb = a.circuit, b.circuit
     if ca.n != cb.n:

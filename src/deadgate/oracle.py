@@ -106,11 +106,13 @@ def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
     """
     arities: dict[str, int] = {}
     for c in circuits:
-        for label, arity in c.opaque_labels().items():
-            if arities.setdefault(label, arity) != arity:
-                raise CircuitError(
-                    f"opaque label {label!r} used with inconsistent arity"
-                )
+        for g in c.gates:
+            if isinstance(g.kind, Opaque):
+                label, arity = g.kind.label, len(g.kind.wires)
+                if arities.setdefault(label, arity) != arity:
+                    raise CircuitError(
+                        f"opaque label {label!r} used with inconsistent arity"
+                    )
     bindings = {}
     for i, label in enumerate(sorted(arities)):
         rng = np.random.default_rng([seed, i])

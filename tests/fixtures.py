@@ -9,7 +9,7 @@ from oracle.bind_opaques when a fixture is simulated.
 
 from __future__ import annotations
 
-from .qasm import SourceCircuit, parse
+from deadgate.qasm import SourceCircuit, parse
 
 # Fixed rotation angles keep fixture bytes and reports reproducible.
 _VQE_THETAS = tuple(0.1 * j for j in range(1, 9))

@@ -9,7 +9,7 @@ against kept wires, and kept wires read through a dead-wire pairing.
 each circuit simulated whole: the reference for the batched oracle.
 `eager_random_circuit` is the bench generator building every gate up
 front: the reference for its lazily built gate sequence. `mutants` draws
-byte-mutated copies of the `deadgate.fixtures` programs, the inputs on
+byte-mutated copies of the `fixtures` programs, the inputs on
 which the parser must be total. `programs` draws valid programs, the
 inputs the parser must accept.
 """
@@ -21,10 +21,14 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from deadgate import fixtures, oracle
+from deadgate import oracle
 from deadgate.bench import _ONE_QUBIT, DEFAULT_PALETTE
-from deadgate.circuit import Circuit, Controlled, GateKind, SingleQubit, Swap, build_circuit
+from deadgate.circuit import (
+    Circuit, Controlled, GateKind, Opaque, SingleQubit, Swap, build_circuit,
+)
 from deadgate.qasm import SourceCircuit
+
+import fixtures
 
 
 def kept_wires(c: Circuit) -> list[int]:
@@ -84,7 +88,7 @@ def reference_marginal_equiv(
 def source_from_circuit(c: Circuit) -> SourceCircuit:
     """Wrap a bare circuit: every kept wire measured to its own classical bit."""
     measures = tuple((w, w) for w in range(c.n) if w not in c.dead)
-    decls = c.opaque_labels()
+    decls = {g.kind.label: len(g.kind.wires) for g in c.gates if isinstance(g.kind, Opaque)}
     return SourceCircuit(
         circuit=c, measures=measures, opaque_decls=decls,
         qreg="q", creg="c", creg_size=c.n,
@@ -96,7 +100,7 @@ def eager_random_circuit(
 ) -> Circuit:
     """`bench.random_circuit` with every gate built and checked one by one,
     from the same draws in the same order."""
-    if w < 2 and fraction_1q < 1.0:
+    if w < 2 and not fraction_1q >= 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)
     is_1q = rng.random(gates) < fraction_1q

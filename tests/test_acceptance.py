@@ -24,10 +24,10 @@ from deadgate import (
     parse,
     serialize,
 )
-from deadgate import fixtures
 from deadgate.bench import BenchConfig, DeadMode, run_bench
 from deadgate.cli import main
 
+import fixtures
 from helpers import kept_wires, paired_wires, source_from_circuit
 
 BENCH_SEED = 7

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collections import Counter
 
-from deadgate import Circuit, CircuitError, Controlled, RuleFlags, SingleQubit, Swap
+from deadgate import Circuit, Controlled, RuleFlags, SingleQubit, Swap, build_circuit
 from deadgate import bench
 from deadgate.bench import (
+    DEFAULT_PALETTE,
     BenchConfig,
     DeadMode,
     DrawnGates,
@@ -45,6 +48,29 @@ class TestRandomCircuit:
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
             random_circuit(1, 10, 0.1, seed=5)
+
+    def test_width_one_rejects_nan_fraction(self):
+        with pytest.raises(ValueError, match="width >= 2"):
+            random_circuit(1, 5, float("nan"), seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.integers(1, 40),
+        gates=st.integers(0, 400),
+        fraction=st.floats(0, 1.5) | st.just(float("nan")),
+        palette=st.lists(st.sampled_from(DEFAULT_PALETTE), min_size=1, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_gates_are_valid(self, w, gates, fraction, palette, seed):
+        """The generator draws every wire in range and two distinct wires
+        per two-qubit gate, so `build_circuit` accepts every gate it yields."""
+        palette = tuple(palette)
+        if w < 2 and not fraction >= 1.0:
+            with pytest.raises(ValueError, match="width >= 2"):
+                random_circuit(w, gates, fraction, seed=seed, palette=palette)
+            return
+        c = random_circuit(w, gates, fraction, seed=seed, palette=palette)
+        assert build_circuit(w, [g.kind for g in c.gates]).gates == c.gates
 
     def test_restricted_palette(self):
         c = random_circuit(4, 60, 0.1, seed=6, palette=("cx",))
@@ -179,20 +205,6 @@ class TestDrawnGates:
         assert lazy != list(eager)
         with pytest.raises(TypeError):
             hash(lazy)
-
-    def test_bad_draws_raise_circuit_error(self):
-        def draws(a, b, n=3):
-            one = np.array([0])
-            return bench._Draws(n, np.array([False]), one, one, one,
-                                np.array([a]), np.array([b]), ("cx",))
-
-        with pytest.raises(CircuitError, match="duplicate qubit"):
-            draws(1, 1)
-        with pytest.raises(CircuitError, match="out of range"):
-            draws(0, 3)
-        with pytest.raises(CircuitError, match="out of range"):
-            draws(-1, 0)
-        assert draws(0, 2).kind(0) == Controlled("X", (0,), 2)
 
 
 class TestSelectDead:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from deadgate import fixtures
 from deadgate.cli import main
 
+import fixtures
 from helpers import mutants
 
 
@@ -154,7 +154,7 @@ class TestParseErrors:
             (["optimize", str(bad), str(tmp_path / "out.qasm")], 1),
             (["verify", str(bad), str(good)], 1),
             (["verify", str(good), str(bad)], 1),
-            (["verify", str(bad), str(bad)], 2),
+            (["verify", str(bad), str(bad)], 1),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -210,6 +210,16 @@ class TestVerify:
         a = write(tmp_path, "a.qasm", fixtures.cnot_source())
         b = write(tmp_path, "b.qasm", fixtures.three_qubit_example_source())
         assert main(["verify", str(a), str(b)]) == 2
+
+    def test_opaque_arity_mismatch_exit_2(self, tmp_path, capsys):
+        head = "OPENQASM 2.0;\nqreg q[2];\n"
+        a = write(tmp_path, "a.qasm", head + "opaque U p0;\nU q[0];\n")
+        b = write(tmp_path, "b.qasm", head + "opaque U p0,p1;\nU q[0],q[1];\n")
+        assert main(["verify", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "opaque label 'U' used with inconsistent arity\n"
+        )
 
     def test_qubit_limit_exit_2(self, tmp_path):
         a = write(tmp_path, "a.qasm", fixtures.qpe_source(m=4, r=2))

@@ -243,7 +243,7 @@ class TestComplexityProbe:
             assert sweeps >= 1
 
     def test_qpe_sweep_count(self):
-        from deadgate.fixtures import qpe_instance
+        from fixtures import qpe_instance
 
         c = qpe_instance(m=4, r=2).circuit
         checks, sweeps = complexity_probe(c)

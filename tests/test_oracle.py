@@ -66,7 +66,7 @@ class TestSimulate:
         assert np.allclose(out, basis_state("01"))
 
     def test_fig2_norm_preserved(self):
-        from deadgate.fixtures import three_qubit_example
+        from fixtures import three_qubit_example
 
         c = three_qubit_example().circuit
         bindings = bind_opaques([c], seed=2)
@@ -189,6 +189,23 @@ class TestHaarUnitary:
         assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
+class TestBindOpaques:
+    """One label must have one arity across all the circuits bound together."""
+
+    ARITY = r"^opaque label 'U' used with inconsistent arity$"
+
+    def test_one_circuit_with_two_arities(self):
+        c = build_circuit(3, [Opaque("U", (0, 1)), Opaque("U", (0, 1, 2))])
+        with pytest.raises(CircuitError, match=self.ARITY):
+            bind_opaques([c], seed=1)
+
+    def test_two_circuits_that_disagree(self):
+        c1 = build_circuit(2, [Opaque("U", (0,))])
+        c2 = build_circuit(2, [Opaque("U", (0, 1))])
+        with pytest.raises(CircuitError, match=self.ARITY):
+            bind_opaques([c1, c2], seed=1)
+
+
 def check_kept(c1, c2, **kwargs):
     """c1 and c2 compared on c1's kept wires."""
     kept = kept_wires(c1)
@@ -214,7 +231,7 @@ class TestCheckEquiv:
         assert out2[outcome("1")] == pytest.approx(0.0)
 
     def test_reflexive(self):
-        from deadgate.fixtures import vqe_ansatz
+        from fixtures import vqe_ansatz
 
         c = vqe_ansatz().circuit
         bindings = bind_opaques([c], seed=4)

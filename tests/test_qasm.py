@@ -12,8 +12,8 @@ from deadgate import (
     parse,
     serialize,
 )
-from deadgate.fixtures import three_qubit_example_source
 
+from fixtures import three_qubit_example_source
 from helpers import mutants, programs, source_from_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -229,7 +229,7 @@ class TestSerialize:
         assert again.measures == ((0, 1),)
 
     def test_every_serialized_file_reparses(self):
-        from deadgate import fixtures
+        import fixtures
 
         for source in (
             fixtures.three_qubit_example_source(),
