@@ -4,7 +4,8 @@
 circuits densely on shared random input states and compares their
 outcome probabilities over two wire lists, entry by entry. The callers
 build the lists: kept wires for a plain comparison, kept wires read
-through an outcome map or a dead-wire pairing for a relabeled one. Bit
+through an outcome map or a dead-wire pairing for a relabeled one. It
+checks its own arguments and refuses sizes above fixed ceilings. Bit
 convention throughout: qubit q0 is the most significant bit of a basis
 index, so for n=2 the amplitudes are ordered |00>,|01>,|10>,|11> with
 q0's bit first.
@@ -30,6 +31,9 @@ from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL
 # of the largest single state, while small circuits pay each gate's call
 # overhead once per batch instead of once per sample.
 _BATCH_AMPLITUDES = 2**DEFAULT_QUBIT_CAP
+# No cap lifts these: a 20-qubit state is 16 MiB, a 12-wire binding 256 MiB.
+_MAX_QUBITS = 20
+_MAX_BINDING_BYTES = 512 << 20
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _FIXED_1Q = {
@@ -102,7 +106,8 @@ def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
     """Haar-random unitary per opaque label across the given circuits.
 
     Labels are bound in sorted order so the table is deterministic per
-    seed; a label shared between circuits must agree on arity.
+    seed; a label shared between circuits must agree on arity, and all
+    bindings together (16 bytes per entry) may take at most 512 MiB.
     """
     arities: dict[str, int] = {}
     for c in circuits:
@@ -113,11 +118,12 @@ def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
                     raise CircuitError(
                         f"opaque label {label!r} used with inconsistent arity"
                     )
-    bindings = {}
-    for i, label in enumerate(sorted(arities)):
-        rng = np.random.default_rng([seed, i])
-        bindings[label] = haar_unitary(2 ** arities[label], rng)
-    return bindings
+    if (size := 16 * sum(4**k for k in arities.values())) > _MAX_BINDING_BYTES:
+        raise CircuitError(f"opaque bindings need {-(-size >> 20)} MiB, above 512 MiB")
+    return {
+        label: haar_unitary(2 ** arities[label], np.random.default_rng([seed, i]))
+        for i, label in enumerate(sorted(arities))
+    }
 
 
 def _controlled_matrix(kind: Controlled) -> np.ndarray:
@@ -220,15 +226,23 @@ def check_marginal_equiv(
     sample); the verdict carries the worst probability discrepancy seen.
     Entry k of wires1 is compared with entry k of wires2, so a caller
     lists kept wires ascending for a plain comparison, or reads the
-    second circuit through an outcome map or a dead-wire pairing.
+    second circuit through an outcome map or a dead-wire pairing. With
+    no `bindings`, opaque blocks are bound from `seed` after the checks.
 
     The states are simulated in batches. The gates the two lists share
     at their start are applied once per batch, and each circuit's
     remaining gates are applied to that shared state.
     """
+    if samples < 1:
+        # with no sample there is no evidence of equivalence
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not 0 <= tol < 1:
+        # a gap between probabilities is below 1, so a tolerance of 1 or
+        # more accepts every pair; a negative or NaN one accepts none
+        raise ValueError(f"tol must be finite and in [0, 1), got {tol}")
     if c1.n != c2.n:
         raise CircuitError(f"qubit counts differ: {c1.n} vs {c2.n}")
-    n = c1.n
+    n, cap = c1.n, min(cap, _MAX_QUBITS)
     if n > cap:
         raise CircuitError(f"{n} qubits exceeds the cap of {cap}")
     if len(wires1) != len(wires2):
@@ -240,6 +254,8 @@ def check_marginal_equiv(
         for q in qs:
             if not 0 <= q < n:
                 raise CircuitError(f"qubit q[{q}] out of range")
+    if bindings is None:
+        bindings = bind_opaques((c1, c2), seed)
     common = _common_prefix(c1, c2)
     ops1 = _compile(c1.gates, bindings)
     prefix, rest1 = ops1[:common], ops1[common:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,6 +287,21 @@ class TestRunBench:
             run_bench(small_config(widths=(1, 3)))
         with pytest.raises(ValueError):
             run_bench(small_config(palette=("cx", "iswap")))
+
+    def test_invalid_config_raises_at_construction(self):
+        with pytest.raises(ValueError, match="gives 5 dead qubits at width 4"):
+            BenchConfig(widths=(4,), dead_mode=DeadMode("fixed", 5))
+        # the gate bound is on gate_multiplier * the widest width
+        small_config(widths=(2, 10), gate_multiplier=100_000)
+        with pytest.raises(ValueError, match="^1000010 gates per circuit exceeds 1000000$"):
+            small_config(widths=(2, 10), gate_multiplier=100_001)
+
+    def test_config_is_frozen(self):
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.verify_fraction = 7.0
 
     def test_manifest_mentions_config(self):
         cfg = small_config()

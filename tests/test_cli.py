@@ -206,10 +206,16 @@ class TestVerify:
         assert main(["verify", str(a), str(a)]) == 0
         assert "max_discrepancy: 0.0" in capsys.readouterr().out
 
-    def test_qubit_count_mismatch_exit_2(self, tmp_path):
+    def test_qubit_count_mismatch_exit_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.qasm", fixtures.cnot_source())
         b = write(tmp_path, "b.qasm", fixtures.three_qubit_example_source())
         assert main(["verify", str(a), str(b)]) == 2
+        capsys.readouterr()
+        # A's dead wire 0 paired with C's dead wire 1: the oracle sees the counts
+        c = write(tmp_path, "c.qasm", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
+                  "measure q[0] -> c[0];\nmeasure q[2] -> c[2];\n")
+        assert main(["verify", str(a), str(c), "--map", "0:1"]) == 2
+        assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
 
     def test_opaque_arity_mismatch_exit_2(self, tmp_path, capsys):
         head = "OPENQASM 2.0;\nqreg q[2];\n"
@@ -221,9 +227,10 @@ class TestVerify:
             "", "opaque label 'U' used with inconsistent arity\n"
         )
 
-    def test_qubit_limit_exit_2(self, tmp_path):
+    def test_qubit_limit_exit_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.qasm", fixtures.qpe_source(m=4, r=2))
         assert main(["verify", str(a), str(a), "--qubit-limit", "6"]) == 2
+        assert capsys.readouterr() == ("", "7 qubits exceeds the cap of 6\n")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
@@ -232,7 +239,7 @@ class TestVerify:
         assert main(["verify", str(a), str(b)]) == 1
         capsys.readouterr()
         assert main(["verify", str(a), str(b), "--samples", samples]) == 2
-        assert "--samples" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"samples must be at least 1, got {samples}\n")
 
     def map_pair(self, tmp_path):
         """A SWAP that moves deadness from q[0] to q[1], and the file
@@ -277,16 +284,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and why in captured.err
 
+    def test_unequal_dead_sets_get_bijection_message(self, tmp_path, capsys):
+        # B's dead set {0, 1} is one larger than A's {1}
+        a, _ = self.map_pair(tmp_path)
+        b = write(tmp_path, "none.qasm", "OPENQASM 2.0;\nqreg q[2];\nh q[1];\n")
+        assert main(["verify", str(a), str(b), "--map", "1:0"]) == 2
+        assert capsys.readouterr() == ("", (
+            "pairing must be a bijection between the dead wires unique to each side\n"
+        ))
+
     @pytest.mark.parametrize("tol", ["5", "1", "inf", "-1", "nan"])
     def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
-        def single(gate):
-            return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
-
-        a = write(tmp_path, "h.qasm", single("h"))
-        b = write(tmp_path, "x.qasm", single("x"))
+        a = write(tmp_path, "h.qasm", one_qubit("h"))
+        b = write(tmp_path, "x.qasm", one_qubit("x"))
         assert main(["verify", str(a), str(b), "--tol", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--tol" in captured.err
+        assert capsys.readouterr() == (
+            "", f"tol must be finite and in [0, 1), got {float(tol)}\n"
+        )
 
     def test_optimized_swap_verifies_through_measure_map(self, tmp_path):
         text = "\n".join(
@@ -431,6 +445,57 @@ class TestEntryPoints:
             assert done.stderr.startswith(f"{b}:4: ")
         else:
             assert done.stdout.startswith("verdict: ")
+
+
+# The child caps its own address space and holds BLAS to one thread before
+# deadgate loads: numpy imports well within 1 GiB, and an allocation no
+# bound stopped fails at once instead of filling memory on a host that
+# overcommits.
+CAPPED = (
+    "import os, resource, runpy, sys; "
+    "os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard)); "
+    "sys.argv[0] = 'deadgate'; runpy.run_module('deadgate', run_name='__main__')"
+)
+
+
+class TestAllocationBounds:
+    """Sizes the oracle or the generator would allocate without bound are
+    refused with one line and exit 2, never a MemoryError and exit 1."""
+
+    @pytest.mark.parametrize("n, limit, opaques, message", [
+        (40, 40, (), "40 qubits exceeds the cap of 20"),
+        (16, 16, (16,), "opaque bindings need 65536 MiB, above 512 MiB"),
+        (12, 12, (12,) * 3, "opaque bindings need 768 MiB, above 512 MiB"),
+        # refused by the cap before any of the 1 GiB of bindings is made
+        (13, 12, (12,) * 4, "13 qubits exceeds the cap of 12"),
+    ], ids=["qubits_above_ceiling", "opaque_above_bound", "opaques_above_bound",
+            "over_cap_with_opaques"])
+    def test_verify(self, tmp_path, n, limit, opaques, message):
+        lines = ["OPENQASM 2.0;", f"qreg q[{n}];", f"creg c[{n}];", "h q[0];"]
+        for i, arity in enumerate(opaques):
+            lines.append(f"opaque U{i} " + ",".join(f"p{j}" for j in range(arity)) + ";")
+            lines.append(f"U{i} " + ",".join(f"q[{j}]" for j in range(arity)) + ";")
+        a = write(tmp_path, "a.qasm", "\n".join(lines + ["measure q[0] -> c[0];", ""]))
+        done = run_python("-c", CAPPED, "verify", str(a), str(a), "--qubit-limit", str(limit))
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--widths", "2", "--gate-multiplier", "100000000000"],
+         "200000000000 gates per circuit exceeds 1000000"),
+        (["--widths", "2:100000000000000000000"],
+         "bad width range '2:100000000000000000000'"),
+        (["--widths", "2:1000000000000"], "bad width range '2:1000000000000'"),
+        (["--widths=-100000000000000000000:4"],
+         "bad width range '-100000000000000000000:4'"),
+    ], ids=["gate_multiplier", "range_past_ssize", "range_past_memory", "range_start_low"])
+    def test_bench(self, tmp_path, flags, message):
+        out = tmp_path / "b.csv"
+        done = run_python("-c", CAPPED, "bench", *flags, "--programs", "1", "--blocks", "1",
+                          "--out", str(out))
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message + "\n")
+        assert not out.exists()
 
 
 class TestUsage:

@@ -205,6 +205,27 @@ class TestBindOpaques:
         with pytest.raises(CircuitError, match=self.ARITY):
             bind_opaques([c1, c2], seed=1)
 
+    @pytest.mark.parametrize("arities, mib", [
+        ((13,), 1024), ((12, 12, 1), 513), ((12, 12, 12), 768),
+    ])
+    def test_bindings_above_budget_refused_before_binding(self, monkeypatch, arities, mib):
+        # a k-wire binding is 16 * 4**k bytes, 256 MiB at 12 wires; all
+        # bindings together may take 512 MiB
+        def unbounded(dim, rng):
+            raise AssertionError(f"asked for a {dim}x{dim} binding")
+
+        monkeypatch.setattr(oracle, "haar_unitary", unbounded)
+        gates = [Opaque(f"U{i}", tuple(range(k))) for i, k in enumerate(arities)]
+        with pytest.raises(CircuitError, match=rf"^opaque bindings need {mib} MiB, above 512 MiB$"):
+            bind_opaques([build_circuit(max(arities), gates)], seed=1)
+
+    def test_bindings_within_budget_are_made(self, monkeypatch):
+        # the stub stands in for each binding by its dimension
+        monkeypatch.setattr(oracle, "haar_unitary", lambda dim, rng: dim)
+        # two 12-wire blocks take exactly the 512 MiB allowed
+        c = build_circuit(12, [Opaque("A", tuple(range(12))), Opaque("B", tuple(range(12)))])
+        assert bind_opaques([c], seed=1) == {"A": 4096, "B": 4096}
+
 
 def check_kept(c1, c2, **kwargs):
     """c1 and c2 compared on c1's kept wires."""
@@ -242,6 +263,49 @@ class TestCheckEquiv:
     def test_qubit_count_mismatch(self):
         with pytest.raises(CircuitError):
             check_marginal_equiv(build_circuit(2, []), build_circuit(3, []), [], [])
+
+    H_VS_X = (build_circuit(1, [SingleQubit("H", 0)]), build_circuit(1, [SingleQubit("X", 0)]))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_raise(self, samples):
+        # with no sample there is no evidence, so no verdict
+        with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
+            check_marginal_equiv(*self.H_VS_X, [0], [0], samples=samples)
+
+    @pytest.mark.parametrize("tol", [1, 5, -1, math.inf, math.nan])
+    def test_tol_outside_unit_interval_raises(self, tol):
+        assert not check_marginal_equiv(*self.H_VS_X, [0], [0]).equivalent
+        with pytest.raises(ValueError, match=r"^tol must be finite and in \[0, 1\), got "):
+            check_marginal_equiv(*self.H_VS_X, [0], [0], tol=tol)
+
+    def test_cap_lifts_to_the_ceiling_only(self):
+        c = build_circuit(13, [SingleQubit("H", 0)])
+        assert check_marginal_equiv(c, c, [0], [0], samples=1, cap=13).equivalent
+        wide = build_circuit(21, [])
+        with pytest.raises(CircuitError, match=r"^21 qubits exceeds the cap of 20$"):
+            check_marginal_equiv(wide, wide, [], [], cap=40)
+
+    def test_binds_opaques_from_seed_when_given_none(self):
+        c1 = build_circuit(2, [Opaque("U", (0, 1)), Opaque("V", (1,))])
+        c2 = build_circuit(2, [Opaque("U", (0, 1))])
+        bindings = bind_opaques([c1, c2], seed=5)
+        given = check_marginal_equiv(c1, c2, [0, 1], [0, 1], seed=5, bindings=bindings)
+        assert check_marginal_equiv(c1, c2, [0, 1], [0, 1], seed=5) == given
+        assert not given.equivalent
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "13 qubits exceeds the cap of 12"),
+        ({"cap": 13, "samples": 0}, "samples must be at least 1, got 0"),
+        ({"cap": 13, "tol": 1.0}, "tol must be finite and in [0, 1), got 1.0"),
+    ])
+    def test_refuses_before_binding(self, monkeypatch, kwargs, message):
+        def unbounded(dim, rng):
+            raise AssertionError(f"asked for a {dim}x{dim} binding")
+
+        monkeypatch.setattr(oracle, "haar_unitary", unbounded)
+        c = build_circuit(13, [Opaque("U", tuple(range(12)))])
+        with pytest.raises((CircuitError, ValueError), match=f"^{re.escape(message)}$"):
+            check_marginal_equiv(c, c, [12], [12], **kwargs)
 
 
 class TestCheckEquivExtended:
