@@ -207,6 +207,14 @@ class DrawnGates:
             return NotImplemented
         return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
+    def shared_start(self, other) -> int:
+        """How many leading gates `other` shares with this sequence by
+        construction, without reading them: views on the same draws share
+        their drawn gates, and no drawn gate is an opaque block."""
+        if isinstance(other, DrawnGates) and other._draws is self._draws:
+            return min(self._stop, other._stop)
+        return 0
+
 
 def random_circuit(
     w: int,

@@ -222,6 +222,9 @@ def cmd_verify(args) -> int:
         return 2
     ca, cb = a.circuit, b.circuit
     try:
+        # neither the kept bits nor a pairing can match files of two widths
+        if ca.n != cb.n:
+            raise CircuitError(f"qubit counts differ: {ca.n} vs {cb.n}")
         if args.pairing is not None:
             wires_a, wires_b = _paired_wires(ca, cb, _parse_pairing(args.pairing))
         else:
@@ -304,6 +307,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # The oracle's states hold at most 4,096 amplitudes, where a second
+    # BLAS thread costs CPU time and saves none. Set before numpy loads;
+    # a value the user set wins.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     raise SystemExit(main())
 
 

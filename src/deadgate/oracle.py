@@ -5,10 +5,13 @@ circuits densely on shared random input states and compares their
 outcome probabilities over two wire lists, entry by entry. The callers
 build the lists: kept wires for a plain comparison, kept wires read
 through an outcome map or a dead-wire pairing for a relabeled one. It
-checks its own arguments and refuses sizes above fixed ceilings. Bit
-convention throughout: qubit q0 is the most significant bit of a basis
-index, so for n=2 the amplitudes are ordered |00>,|01>,|10>,|11> with
-q0's bit first.
+checks its own arguments and refuses sizes above fixed ceilings, judged
+on the circuits' full width. It simulates only the gates after the
+prefix the two circuits share, on only the wires those gates touch or
+the two lists read differently (see its docstring for why that decides
+the same question). Bit convention throughout: qubit q0 is the most
+significant bit of a basis index, so for n=2 the amplitudes are ordered
+|00>,|01>,|10>,|11> with q0's bit first.
 
 Equivalence checking samples random input states. A differing pair of
 circuits is witnessed by a random state almost surely, but the check is
@@ -23,12 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Controlled, Gate, Opaque, SingleQubit, Swap
+from .circuit import (
+    Circuit, CircuitError, Controlled, Gate, GateKind, Opaque, SingleQubit, Swap,
+)
 from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL
 
 # Samples are simulated together, in batches of at most this many
 # amplitudes: the size of one state at the default cap. Memory stays that
-# of the largest single state, while small circuits pay each gate's call
+# of the largest single state, while small states pay each gate's call
 # overhead once per batch instead of once per sample.
 _BATCH_AMPLITUDES = 2**DEFAULT_QUBIT_CAP
 # No cap lifts these: a 20-qubit state is 16 MiB, a 12-wire binding 256 MiB.
@@ -140,44 +145,50 @@ _SWAP = np.array(
 )
 
 
+def _unitary(kind: GateKind, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The gate's matrix; an opaque block's is its binding, checked."""
+    if isinstance(kind, SingleQubit):
+        return base_matrix(kind.base, kind.params)
+    if isinstance(kind, Controlled):
+        return _controlled_matrix(kind)
+    if isinstance(kind, Swap):
+        return _SWAP
+    assert isinstance(kind, Opaque)
+    if kind.label not in bindings:
+        raise CircuitError(f"opaque block {kind.label!r} has no bound unitary")
+    u = np.asarray(bindings[kind.label], dtype=complex)
+    dim = 2 ** len(kind.wires)
+    if u.shape != (dim, dim):
+        raise CircuitError(
+            f"binding for {kind.label!r} has shape {u.shape}, expected {(dim, dim)}"
+        )
+    return u
+
+
 def _compile(
-    gates: Sequence[Gate], bindings: Mapping[str, np.ndarray] | None
+    gates: Sequence[Gate], bindings: Mapping[str, np.ndarray], axis
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Per-gate (unitary, wires) list, resolving opaque labels."""
-    ops = []
-    for g in gates:
-        kind = g.kind
-        if isinstance(kind, SingleQubit):
-            ops.append((base_matrix(kind.base, kind.params), g.qubits))
-        elif isinstance(kind, Controlled):
-            ops.append((_controlled_matrix(kind), g.qubits))
-        elif isinstance(kind, Swap):
-            ops.append((_SWAP, g.qubits))
-        else:
-            assert isinstance(kind, Opaque)
-            if bindings is None or kind.label not in bindings:
-                raise CircuitError(f"opaque block {kind.label!r} has no bound unitary")
-            u = np.asarray(bindings[kind.label], dtype=complex)
-            dim = 2 ** len(kind.wires)
-            if u.shape != (dim, dim):
-                raise CircuitError(
-                    f"binding for {kind.label!r} has shape {u.shape}, expected {(dim, dim)}"
-                )
-            ops.append((u, g.qubits))
-    return ops
+    """Per-gate (unitary, axes) list; wire q is state axis `axis[q]`."""
+    return [(_unitary(g.kind, bindings), tuple(axis[q] for q in g.qubits)) for g in gates]
 
 
-def _apply(state: np.ndarray, u: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    k = len(wires)
+def _apply(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    if len(axes) == 1:
+        # one matmul over the (before, axis, after) view: under half the
+        # cost of tensordot and moveaxis, unless few amplitudes follow the axis
+        (q,) = axes
+        shape = state.shape
+        return np.matmul(u, state.reshape(2**q, 2, -1)).reshape(shape)
+    k = len(axes)
     tensor = u.reshape((2,) * (2 * k))
-    state = np.tensordot(tensor, state, axes=(tuple(range(k, 2 * k)), wires))
-    return np.moveaxis(state, tuple(range(k)), wires)
+    state = np.tensordot(tensor, state, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(state, tuple(range(k)), axes)
 
 
 def _run(ops: list[tuple[np.ndarray, tuple[int, ...]]], state: np.ndarray) -> np.ndarray:
-    """Apply the ops to a state of shape (2,)*n + (batch,); axis q is wire q."""
-    for u, wires in ops:
-        state = _apply(state, u, wires)
+    """Apply the ops to a state of shape (2,)*w + (batch,); axis i is wire i."""
+    for u, axes in ops:
+        state = _apply(state, u, axes)
     return state
 
 
@@ -199,12 +210,24 @@ def _marginal(amps: np.ndarray, n: int, wires: tuple[int, ...]) -> np.ndarray:
     return t.reshape((-1,) + batch)
 
 
-def _common_prefix(c1: Circuit, c2: Circuit) -> int:
-    """Number of leading gates the two circuits share, compared by kind."""
-    common = 0
-    for g1, g2 in zip(c1.gates, c2.gates):
-        if g1.kind != g2.kind:
+def _common_prefix(
+    gates1: Sequence[Gate], gates2: Sequence[Gate], bindings: Mapping[str, np.ndarray]
+) -> int:
+    """Number of leading gates the two lists share, compared by kind.
+
+    Each opaque block among them must still have a binding of its shape.
+    A list may say how many leading gates it shares with another by
+    construction (`bench.DrawnGates.shared_start`, never opaque blocks);
+    those gates are not read.
+    """
+    shared_start = getattr(gates1, "shared_start", None)
+    common = shared_start(gates2) if shared_start is not None else 0
+    for i in range(common, min(len(gates1), len(gates2))):
+        kind = gates1[i].kind
+        if kind != gates2[i].kind:
             break
+        if isinstance(kind, Opaque):
+            _unitary(kind, bindings)
         common += 1
     return common
 
@@ -222,16 +245,23 @@ def check_marginal_equiv(
 ) -> EquivalenceVerdict:
     """Compare c1's marginal over wires1 with c2's marginal over wires2.
 
-    Both circuits see the same `samples` random input states (seeded per
-    sample); the verdict carries the worst probability discrepancy seen.
     Entry k of wires1 is compared with entry k of wires2, so a caller
     lists kept wires ascending for a plain comparison, or reads the
     second circuit through an outcome map or a dead-wire pairing. With
     no `bindings`, opaque blocks are bound from `seed` after the checks.
+    The verdict carries the worst probability gap seen over `samples`
+    random input states, each seeded by (seed, sample index).
 
-    The states are simulated in batches. The gates the two lists share
-    at their start are applied once per batch, and each circuit's
-    remaining gates are applied to that shared state.
+    Only what differs is simulated. The gates the two lists share at
+    their start (`_common_prefix`) are skipped, since a Haar-random state
+    stays Haar-random under any unitary. S is the set of wires the
+    remaining gates of either list touch, plus both wires of every
+    position k with wires1[k] != wires2[k]. The states are drawn on S
+    alone, ordered ascending, and positions whose wire lies outside S
+    are not compared: such a wire is untouched by both remainders, so
+    measuring it first commutes with them, and the marginals agree on
+    every input exactly when they agree on every state on S. The witness
+    outcome has one character per position, `x` for one outside S.
     """
     if samples < 1:
         # with no sample there is no evidence of equivalence
@@ -256,19 +286,25 @@ def check_marginal_equiv(
                 raise CircuitError(f"qubit q[{q}] out of range")
     if bindings is None:
         bindings = bind_opaques((c1, c2), seed)
-    common = _common_prefix(c1, c2)
-    ops1 = _compile(c1.gates, bindings)
-    prefix, rest1 = ops1[:common], ops1[common:]
-    rest2 = _compile(c2.gates[common:], bindings)
-    batch = max(1, _BATCH_AMPLITUDES >> n)
+    common = _common_prefix(c1.gates, c2.gates, bindings)
+    rest1, rest2 = c1.gates[common:], c2.gates[common:]
+    touched = {q for g in (*rest1, *rest2) for q in g.qubits}
+    touched.update(q for a, b in zip(wires1, wires2) if a != b for q in (a, b))
+    axis = {q: i for i, q in enumerate(sorted(touched))}
+    width = len(axis)
+    # a position is compared when its wires lie in S: both or neither do
+    read1 = tuple(axis[q] for q in wires1 if q in axis)
+    read2 = tuple(axis[q] for q in wires2 if q in axis)
+    ops1, ops2 = _compile(rest1, bindings, axis), _compile(rest2, bindings, axis)
+    batch = max(1, _BATCH_AMPLITUDES >> width)
     worst = 0.0
     witness = None
     for first in range(0, samples, batch):
         ids = range(first, min(first + batch, samples))
-        amps = np.stack([random_state(n, seed=(seed, i), cap=cap) for i in ids], axis=-1)
-        shared = _run(prefix, amps.reshape((2,) * n + (len(ids),)))
-        p1 = _marginal(_run(rest1, shared).reshape(2**n, -1), n, wires1)
-        p2 = _marginal(_run(rest2, shared).reshape(2**n, -1), n, wires2)
+        amps = np.stack([random_state(width, seed=(seed, i), cap=cap) for i in ids], axis=-1)
+        state = amps.reshape((2,) * width + (len(ids),))
+        p1 = _marginal(_run(ops1, state).reshape(2**width, -1), width, read1)
+        p2 = _marginal(_run(ops2, state).reshape(2**width, -1), width, read2)
         gaps = np.abs(p1 - p2)
         # per sample, the first outcome with the largest gap; across
         # samples, the first sample with the largest gap
@@ -278,9 +314,10 @@ def check_marginal_equiv(
             if gaps[k, j] > worst:
                 worst = float(gaps[k, j])
                 witness = ((seed, i), k)
-    equivalent = worst <= tol
-    if not equivalent and witness is not None:
-        sample, k = witness
-        m = len(wires1)
-        witness = (sample, format(k, f"0{m}b") if m else "")
-    return EquivalenceVerdict(equivalent, worst, None if equivalent else witness)
+    if worst <= tol:
+        return EquivalenceVerdict(True, worst)
+    sample, k = witness
+    bits = iter(format(k, f"0{len(read1)}b"))
+    return EquivalenceVerdict(
+        False, worst, (sample, "".join(next(bits) if q in axis else "x" for q in wires1))
+    )

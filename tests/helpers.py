@@ -6,7 +6,10 @@ against kept wires, and kept wires read through a dead-wire pairing.
 `simulate` and `basis_state` run one circuit on one input state, and
 `source_from_circuit` wraps a bare circuit so it can be serialized.
 `reference_marginal_equiv` is the oracle's check one sample at a time,
-each circuit simulated whole: the reference for the batched oracle.
+each circuit simulated whole. Run on the circuits themselves it is the
+verdict reference for the oracle; run on `reduced_pair`'s circuits, which
+hold only what the oracle simulates, it must match the oracle's worst gap
+and witness to rounding.
 `eager_random_circuit` is the bench generator building every gate up
 front: the reference for its lazily built gate sequence. `mutants` draws
 byte-mutated copies of the `fixtures` programs, the inputs on
@@ -57,7 +60,7 @@ def basis_state(bits: str) -> np.ndarray:
 def simulate(c: Circuit, amps: np.ndarray, bindings=None) -> np.ndarray:
     """Amplitudes after applying the circuit's unitary to `amps`."""
     state = np.asarray(amps, dtype=complex).reshape((2,) * c.n + (1,))
-    return oracle._run(oracle._compile(c.gates, bindings), state).reshape(-1)
+    return oracle._run(oracle._compile(c.gates, bindings or {}, range(c.n)), state).reshape(-1)
 
 
 def reference_marginal_equiv(
@@ -83,6 +86,44 @@ def reference_marginal_equiv(
     equivalent = worst <= tol
     verdict = oracle.EquivalenceVerdict(equivalent, worst, None if equivalent else witness)
     return verdict, sample_gaps
+
+
+def _renumber(kind: GateKind, axis: dict[int, int]) -> GateKind:
+    if isinstance(kind, SingleQubit):
+        return SingleQubit(kind.base, axis[kind.qubit], kind.params)
+    if isinstance(kind, Controlled):
+        controls = tuple(axis[q] for q in kind.controls)
+        return Controlled(kind.base, controls, axis[kind.target], kind.params)
+    if isinstance(kind, Swap):
+        return Swap(axis[kind.a], axis[kind.b])
+    return Opaque(kind.label, tuple(axis[q] for q in kind.wires))
+
+
+def reduced_pair(c1: Circuit, c2: Circuit, wires1, wires2):
+    """The circuits and wire lists as `check_marginal_equiv` simulates
+    them, built from the rule its docstring states: the longest common
+    start of the two gate lists (compared by kind) is dropped; S is the
+    wires the rest of either list touches plus both wires of every
+    position the lists read differently; S is renumbered ascending, and
+    positions outside S are dropped. Returns the two reduced circuits,
+    the two reduced wire lists and the indices of the positions kept."""
+    kinds1 = [g.kind for g in c1.gates]
+    kinds2 = [g.kind for g in c2.gates]
+    common = 0
+    while common < min(len(kinds1), len(kinds2)) and kinds1[common] == kinds2[common]:
+        common += 1
+    rest1, rest2 = kinds1[common:], kinds2[common:]
+    s = {q for kind in rest1 + rest2 for q in kind.qubits()}
+    s |= {q for a, b in zip(wires1, wires2) if a != b for q in (a, b)}
+    axis = {q: i for i, q in enumerate(sorted(s))}
+    kept = [k for k, q in enumerate(wires1) if q in s]
+    return (
+        build_circuit(len(s), [_renumber(kind, axis) for kind in rest1]),
+        build_circuit(len(s), [_renumber(kind, axis) for kind in rest2]),
+        [axis[wires1[k]] for k in kept],
+        [axis[wires2[k]] for k in kept],
+        kept,
+    )
 
 
 def source_from_circuit(c: Circuit) -> SourceCircuit:

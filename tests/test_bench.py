@@ -143,6 +143,28 @@ class TestLazyMatchesEager:
         assert len(built) == walked
 
 
+    def test_spot_verify_reads_only_past_the_shared_start(self, monkeypatch):
+        c = random_circuit(10, 1000, 0.1, seed=(7, 10, 0, 0, 1))
+        dead = select_dead(10, DeadMode("pct", 20), seed=(7, 10, 0, 0, 2))
+        c = Circuit(10, c.gates, dead, c.outcome_map)
+        optimized, _ = eliminate_dead_gates(c)
+        shared = c.gates.shared_start(optimized.gates)
+        drawn = []
+
+        def spy(draws, i):
+            drawn.append(i)
+            return real_kind(draws, i)
+
+        real_kind = bench._Draws.kind
+        monkeypatch.setattr(bench._Draws, "kind", spy)
+        bench._spot_verify(c, optimized, seed=(7, 10, 0, 0, 3))
+        # the oracle draws no gate before the start the two lists share by
+        # construction, and each one after it at most twice: to compare it
+        # and to simulate it
+        assert drawn and min(drawn) >= shared > 900
+        assert max(Counter(drawn).values()) <= 2
+
+
 class TestDrawnGates:
     @pytest.fixture
     def pair(self):
@@ -194,6 +216,15 @@ class TestDrawnGates:
         assert lazy[:20] + () == eager[:20]
         with pytest.raises(TypeError):
             lazy + list(eager)
+
+    def test_shared_start(self, pair):
+        lazy, eager = pair
+        joined = lazy[:20] + eager[30:]
+        assert lazy.shared_start(joined) == joined.shared_start(lazy) == 20
+        assert lazy.shared_start(lazy[:50]) == 50
+        # a tuple, or a view on other draws, shares nothing by construction
+        assert lazy.shared_start(eager) == 0
+        assert lazy.shared_start(random_circuit(5, 50, 0.3, seed=84).gates) == 0
 
     def test_equality_with_tuples_both_ways(self, pair):
         lazy, eager = pair

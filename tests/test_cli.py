@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from deadgate import cli
 from deadgate.cli import main
 
 import fixtures
@@ -211,11 +213,30 @@ class TestVerify:
         b = write(tmp_path, "b.qasm", fixtures.three_qubit_example_source())
         assert main(["verify", str(a), str(b)]) == 2
         capsys.readouterr()
-        # A's dead wire 0 paired with C's dead wire 1: the oracle sees the counts
+        # the counts are checked before A's dead wire 0 is paired with C's wire 1
         c = write(tmp_path, "c.qasm", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
                   "measure q[0] -> c[0];\nmeasure q[2] -> c[2];\n")
         assert main(["verify", str(a), str(c), "--map", "0:1"]) == 2
         assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
+
+    @pytest.mark.parametrize("measured", [(1,), (0, 1), (0, 1, 2)], ids=str)
+    def test_widths_differ_whatever_the_kept_bits(self, tmp_path, capsys, measured):
+        # `--map` cannot mend files of two widths, so the error must not suggest it
+        a = write(tmp_path, "a.qasm", fixtures.cnot_source())
+        b = write(tmp_path, "b.qasm", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
+                  + "".join(f"measure q[{w}] -> c[{w}];\n" for w in measured))
+        assert main(["verify", str(a), str(b)]) == 2
+        assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
+
+    def test_witness_marks_bits_not_simulated(self, tmp_path, capsys):
+        # wire 1 is untouched and read alike, so its bit is not compared
+        head = "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
+        measures = "".join(f"measure q[{w}] -> c[{w}];\n" for w in range(3))
+        a = write(tmp_path, "a.qasm", head + "cx q[0],q[2];\n" + measures)
+        b = write(tmp_path, "b.qasm", head + measures)
+        assert main(["verify", str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^witness_outcome: [01]x[01]$", out, re.M), out
 
     def test_opaque_arity_mismatch_exit_2(self, tmp_path, capsys):
         head = "OPENQASM 2.0;\nqreg q[2];\n"
@@ -428,7 +449,29 @@ def run_python(*args):
     )
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestEntryPoints:
+    @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user_set"])
+    def test_entry_holds_blas_to_one_thread_unless_set(self, monkeypatch, user):
+        seen = {}
+
+        def stub_main():
+            seen.update((name, os.environ.get(name)) for name in BLAS_THREADS)
+            return 0
+
+        for name in BLAS_THREADS:
+            if user is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, user)
+        monkeypatch.setattr(cli, "main", stub_main)
+        with pytest.raises(SystemExit) as done:
+            cli.entry()
+        assert done.value.code == 0
+        assert seen == {name: user or "1" for name in BLAS_THREADS}
+
     def test_cli_import_leaves_out_numpy(self):
         done = run_python("-c", "import sys, deadgate.cli; print('numpy' in sys.modules)")
         assert done.returncode == 0, done.stderr

@@ -9,24 +9,32 @@ from hypothesis import strategies as st
 
 from deadgate import oracle
 from deadgate import (
+    Circuit,
     CircuitError,
     Controlled,
     Opaque,
+    RuleFlags,
     SingleQubit,
     Swap,
     bind_opaques,
     build_circuit,
     check_marginal_equiv,
+    eliminate_dead_gates,
     haar_unitary,
+    parse,
     random_state,
 )
+from deadgate.bench import DeadMode, random_circuit, select_dead
 from deadgate.circuit import BASE_PARAMS
 from deadgate.oracle import _marginal
 
+import fixtures
 from helpers import (
+    FIXTURE_SOURCES,
     basis_state,
     kept_wires,
     paired_wires,
+    reduced_pair,
     reference_marginal_equiv,
     simulate,
 )
@@ -451,18 +459,45 @@ def oracle_pairs(draw):
     return c1, c2, wires1, wires2
 
 
+def outcome_gaps(c1, c2, wires1, wires2, sample, bindings=None) -> np.ndarray:
+    """Per-outcome gaps of one seeded sample, each circuit simulated whole."""
+    amps = random_state(c1.n, seed=sample)
+    p1 = _marginal(simulate(c1, amps, bindings), c1.n, tuple(wires1))
+    p2 = _marginal(simulate(c2, amps, bindings), c2.n, tuple(wires2))
+    return np.abs(p1 - p2)
+
+
+# Two references draw different states, so their worst gaps differ; only
+# gaps this far from the tolerance are sure to give the same verdict.
+_CLEAR_OF_TOL = 1e3
+
+
 def assert_matches_reference(c1, c2, wires1, wires2, **kwargs):
-    """The batched oracle against the sample-by-sample reference."""
+    """The oracle against the per-sample reference: (a) run on the reduced
+    circuits, the worst gap and witness to rounding; (b) run on the whole
+    circuits, the verdict. Returns (oracle, reduced, whole) verdicts."""
     got = check_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
-    want, sample_gaps = reference_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    r1, r2, rw1, rw2, kept = reduced_pair(c1, c2, wires1, wires2)
+    want, sample_gaps = reference_marginal_equiv(r1, r2, rw1, rw2, **kwargs)
     assert got.equivalent == want.equivalent
     assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
+    if got.witness is not None:
+        sample, bits = got.witness
+        # one character per compared position, x where it was not simulated
+        assert len(bits) == len(wires1)
+        assert [k for k, b in enumerate(bits) if b != "x"] == kept
+        gaps = outcome_gaps(r1, r2, rw1, rw2, sample, kwargs.get("bindings"))
+        assert gaps[outcome(bits.replace("x", ""))] >= gaps.max() - 1e-12
     top = sorted(sample_gaps, reverse=True)[:2]
     if len(top) == 1 or top[0] - top[1] > 1e-12:
         assert (got.witness is None) == (want.witness is None)
         if got.witness is not None:
             assert got.witness[0] == want.witness[0]
-    return got, want
+    whole, _ = reference_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    tol = kwargs.get("tol", 1e-9)
+    if not tol / _CLEAR_OF_TOL < whole.max_discrepancy < tol * _CLEAR_OF_TOL:
+        assert got.equivalent == whole.equivalent
+    return got, want, whole
 
 
 def worst_sample_beyond(c1, c2, wires, first: int, samples: int) -> int:
@@ -476,8 +511,63 @@ def worst_sample_beyond(c1, c2, wires, first: int, samples: int) -> int:
     raise AssertionError("no seed puts the worst sample past the first batch")
 
 
+def kept_bit_wires(a, b) -> tuple[list[int], list[int]]:
+    """The wires carrying each file's kept classical bits, bit by bit, as
+    `deadgate verify` compares them."""
+    kept_a = {c: w for w, c in a.measures if w not in a.circuit.dead}
+    kept_b = {c: w for w, c in b.measures if w not in b.circuit.dead}
+    assert set(kept_a) == set(kept_b)
+    return [kept_a[c] for c in sorted(kept_a)], [kept_b[c] for c in sorted(kept_a)]
+
+
+def fixture_pairs():
+    """(A, B, verdict) for the paper's hand simplifications, the known
+    counterexamples, and each fixture against its own optimizer output
+    (verdict True) or that output with its last gate dropped (None: not
+    known beforehand)."""
+    pairs = [
+        ("three_qubit", fixtures.three_qubit_example_source(),
+         fixtures.three_qubit_simplified_source(), True),
+        ("vqe", fixtures.vqe_ansatz_source(), fixtures.vqe_simplified_source(), True),
+        ("blocked", fixtures.blocked_controlled_source(),
+         fixtures.blocked_controlled_invalid_source(), False),
+        ("cz", fixtures.cz_blocked_source(), fixtures.cz_blocked_invalid_source(), False),
+        ("cnot", fixtures.cnot_source(), fixtures.empty_two_qubit_source(), False),
+    ]
+    out = [(name, parse(a), parse(b), verdict) for name, a, b, verdict in pairs]
+    for text in FIXTURE_SOURCES:
+        src = parse(text)
+        for flags in (RuleFlags(), RuleFlags(extended=True)):
+            optimized, _ = eliminate_dead_gates(src.circuit, flags)
+            name = f"{len(out)}_{src.circuit.n}q"
+            out.append((name, src, src.with_circuit(optimized), True))
+            if optimized.gates:
+                cut = Circuit(optimized.n, optimized.gates[:-1], optimized.dead,
+                              optimized.outcome_map)
+                out.append((name + "_cut", src, src.with_circuit(cut), None))
+    return out
+
+
+@st.composite
+def bench_pairs(draw):
+    """A bench circuit at width 2-10 against its optimizer output, or
+    against that output with one to three of its last gates dropped."""
+    w = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2**16))
+    original = random_circuit(w, draw(st.sampled_from((5, 20))) * w, 0.1, seed=(seed, 1))
+    dead = select_dead(w, DeadMode("fixed", draw(st.integers(1, w - 1))), seed=(seed, 2))
+    original = Circuit(w, original.gates, dead, original.outcome_map)
+    optimized, _ = eliminate_dead_gates(original, RuleFlags())
+    drop = draw(st.integers(0, min(3, len(optimized.gates))))
+    gates = optimized.gates[: len(optimized.gates) - drop]
+    other = Circuit(w, gates, optimized.dead, optimized.outcome_map)
+    valid = [q for q in range(w) if q not in dead]
+    return original, other, valid, [optimized.outcome_map[q] for q in valid], drop
+
+
 class TestBatchedOracle:
-    """The batched, prefix-sharing oracle against the per-sample reference."""
+    """The batched oracle, which simulates only what differs, against the
+    per-sample reference on reduced and on whole circuits."""
 
     @settings(max_examples=300, deadline=None)
     @given(pair=oracle_pairs(), samples=st.integers(1, 25), seed=st.integers(0, 2**16))
@@ -492,11 +582,14 @@ class TestBatchedOracle:
         (10, [4, 4, 1]), (11, [2, 2, 2, 2, 1]), (12, [1] * 9),
     ])
     def test_batch_boundaries(self, monkeypatch, n, batches):
+        # the lists differ in their first gate and the rest touches every
+        # wire, so the states span all n wires
         kinds = [SingleQubit("RY", q, (0.3 + 0.2 * q,)) for q in range(n)]
         kinds += [Controlled("X", (q,), q + 1) for q in range(n - 1)]
-        c1 = build_circuit(n, kinds + [SingleQubit("H", n - 1)])
-        c2 = build_circuit(n, kinds + [SingleQubit("RX", n - 1, (0.4,))])
+        c1 = build_circuit(n, [SingleQubit("H", n - 1)] + kinds)
+        c2 = build_circuit(n, [SingleQubit("RX", n - 1, (0.4,))] + kinds)
         wires = [n - 1, 0]
+        assert reduced_pair(c1, c2, wires, wires)[0].n == n
         seed = worst_sample_beyond(c1, c2, wires, batches[0], samples=9)
         seen = []
         run = oracle._run
@@ -512,8 +605,33 @@ class TestBatchedOracle:
         assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
         assert got.witness == want.witness
         assert got.witness[0][1] >= batches[0]
-        # per batch: the shared prefix, then each circuit's remainder
-        assert seen[::3] == batches
+        # per batch: each circuit's gates after the shared start
+        assert seen[::2] == batches and seen[1::2] == batches
+
+    def test_batches_sized_by_touched_wires(self, monkeypatch):
+        # a shared start on all 12 wires, then gates on wires 0-9 only:
+        # the states span 10 wires, four to a batch
+        shared = [SingleQubit("H", q) for q in range(12)]
+        shared += [Controlled("X", (q,), q + 1) for q in range(11)]
+        rest = [Controlled("X", (q,), q + 1) for q in range(9)]
+        c1 = build_circuit(12, shared + [SingleQubit("RY", 0, (0.5,))] + rest)
+        c2 = build_circuit(12, shared + [SingleQubit("RX", 0, (0.5,))] + rest)
+        wires = list(range(12))
+        shapes = []
+        run = oracle._run
+
+        def spy(ops, state):
+            shapes.append(state.shape)
+            return run(ops, state)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_run", spy)
+            check_marginal_equiv(c1, c2, wires, wires, samples=9, seed=3)
+        got, _, whole = assert_matches_reference(c1, c2, wires, wires, samples=9, seed=3)
+        assert not got.equivalent and not whole.equivalent
+        assert got.witness[1][10:] == "xx"
+        assert [s[-1] for s in shapes[::2]] == [4, 4, 1]
+        assert {s[:-1] for s in shapes} == {(2,) * 10}
 
     def test_non_frontier_removal_caught(self):
         # the controlled gate targets the dead wire but is not on the
@@ -528,11 +646,11 @@ class TestBatchedOracle:
         original = build_circuit(2, [u, cu, w], dead={0})
         removed = build_circuit(2, [u, w], dead={0})
         bindings = bind_opaques([original], seed=92)
-        assert oracle._common_prefix(original, removed) == 1
-        got, _ = assert_matches_reference(
+        assert oracle._common_prefix(original.gates, removed.gates, bindings) == 1
+        got, _, whole = assert_matches_reference(
             original, removed, [1], [1], samples=20, seed=93, bindings=bindings
         )
-        assert not got.equivalent
+        assert not got.equivalent and not whole.equivalent
         # "kept gates, then removed gates" would simulate the removed gate
         # last, on the frontier, and hide the error
         shortcut = build_circuit(2, [u, w, cu], dead={0})
@@ -541,10 +659,10 @@ class TestBatchedOracle:
     def test_no_common_prefix(self):
         c1 = build_circuit(2, [SingleQubit("X", 1), SingleQubit("H", 0)], dead={1})
         c2 = build_circuit(2, [SingleQubit("H", 0)], dead={1})
-        assert oracle._common_prefix(c1, c2) == 0
-        got, _ = assert_matches_reference(c1, c2, [0], [0], samples=5, seed=4)
+        assert oracle._common_prefix(c1.gates, c2.gates, {}) == 0
+        got, _, _ = assert_matches_reference(c1, c2, [0], [0], samples=5, seed=4)
         assert got.equivalent
-        got, _ = assert_matches_reference(c1, c2, [1], [1], samples=5, seed=4)
+        got, _, _ = assert_matches_reference(c1, c2, [1], [1], samples=5, seed=4)
         assert not got.equivalent
 
     @pytest.mark.parametrize("tail, equivalent", [
@@ -555,9 +673,9 @@ class TestBatchedOracle:
         longer = build_circuit(2, head + [tail], dead={1})
         shorter = build_circuit(2, head, dead={1})
         for c1, c2 in ((longer, shorter), (shorter, longer)):
-            assert oracle._common_prefix(c1, c2) == len(head)
-            got, _ = assert_matches_reference(c1, c2, [0], [0], samples=7, seed=2)
-            assert got.equivalent == equivalent
+            assert oracle._common_prefix(c1.gates, c2.gates, {}) == len(head)
+            got, _, whole = assert_matches_reference(c1, c2, [0], [0], samples=7, seed=2)
+            assert got.equivalent == whole.equivalent == equivalent
         same = check_kept(longer, longer, samples=7, seed=2)
         assert same.equivalent and same.max_discrepancy == 0.0
 
@@ -571,12 +689,61 @@ class TestBatchedOracle:
 
         monkeypatch.setattr(oracle, "_run", spy)
         for n in range(0, 13):
-            kinds = [SingleQubit("H", q) for q in range(n)]
-            c = build_circuit(n, kinds)
-            check_marginal_equiv(c, c, list(range(n)), list(range(n)), samples=25)
+            # no shared start, and every wire touched
+            c1 = build_circuit(n, [SingleQubit("H", q) for q in range(n)])
+            c2 = build_circuit(n, [SingleQubit("X", q) for q in range(n)])
+            check_marginal_equiv(c1, c2, list(range(n)), list(range(n)), samples=25)
         assert max(sizes.values()) <= 4096
         # small circuits do run their samples together
         assert sizes[3] == 8 * 25 and sizes[9] == 512 * 8 and sizes[12] == 4096
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equal_lists_through_swapped_wires(self, n):
+        # nothing differs in the gates, so S is the two swapped wires: a
+        # random state tells q0 from q1, and a third wire is not compared
+        c = build_circuit(n, [SingleQubit("H", 0), Controlled("X", (0,), n - 1)])
+        wires1, wires2 = list(range(n)), [1, 0] + list(range(2, n))
+        assert oracle._common_prefix(c.gates, c.gates, {}) == 2
+        got, _, whole = assert_matches_reference(c, c, wires1, wires2, samples=5, seed=1)
+        assert not got.equivalent and not whole.equivalent
+        assert re.fullmatch("[01][01]" + "x" * (n - 2), got.witness[1])
+        same = check_marginal_equiv(c, c, wires1, wires1, samples=5, seed=1)
+        assert same.equivalent and same.max_discrepancy == 0.0
+
+    @pytest.mark.parametrize("bindings, message", [
+        ({}, "opaque block 'U' has no bound unitary"),
+        ({"U": np.eye(2)}, "binding for 'U' has shape (2, 2), expected (4, 4)"),
+    ], ids=["unbound", "wrong_shape"])
+    @pytest.mark.parametrize("tail", [[SingleQubit("H", 0)], []], ids=["prefix", "whole"])
+    def test_opaque_in_skipped_prefix_still_checked(self, bindings, message, tail):
+        kinds = [Opaque("U", (0, 1)), SingleQubit("T", 1)]
+        c1 = build_circuit(2, kinds + tail)
+        c2 = build_circuit(2, kinds)
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            check_marginal_equiv(c1, c2, [0, 1], [0, 1], bindings=bindings)
+
+    @pytest.mark.parametrize("pair", fixture_pairs(), ids=lambda pair: pair[0])
+    def test_fixture_pairs_agree_with_whole_reference(self, pair):
+        _, a, b, verdict = pair
+        wires_a, wires_b = kept_bit_wires(a, b)
+        bindings = bind_opaques([a.circuit, b.circuit], seed=11)
+        got, _, whole = assert_matches_reference(
+            a.circuit, b.circuit, wires_a, wires_b, seed=11, bindings=bindings
+        )
+        assert got.equivalent == whole.equivalent
+        if verdict is not None:
+            assert got.equivalent == verdict
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=bench_pairs(), seed=st.integers(0, 2**16))
+    def test_bench_pairs_and_mutants(self, pair, seed):
+        original, other, wires1, wires2, drop = pair
+        got, _, whole = assert_matches_reference(
+            original, other, wires1, wires2, samples=10, seed=seed, bindings={}
+        )
+        assert got.equivalent == whole.equivalent
+        if not drop:
+            assert got.equivalent
 
 
 class TestReadmeExample:
