@@ -33,7 +33,7 @@ from .circuit import (  # noqa: F401
     Swap,
     build_circuit,
 )
-from .defaults import MAX_CIRCUIT_GATES
+from .defaults import MAX_CIRCUIT_GATES, MAX_SWEEP_BLOCKS
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
 
@@ -67,9 +67,13 @@ class DeadMode:
     @staticmethod
     def parse(text: str) -> "DeadMode":
         kind, _, value = text.partition(":")
-        if not value:
-            raise ValueError(f"dead mode {text!r} is not of the form fixed:k or pct:p")
-        return DeadMode(kind, int(value))
+        try:
+            count = int(value)
+        except ValueError:
+            raise ValueError(
+                f"dead mode {text!r} is not of the form fixed:k or pct:p"
+            ) from None
+        return DeadMode(kind, count)
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,9 @@ class BenchConfig:
             raise ValueError("gate multiplier, blocks and programs must be >= 1")
         if (gates := self.gate_multiplier * max(self.widths)) > MAX_CIRCUIT_GATES:
             raise ValueError(f"{gates} gates per circuit exceeds {MAX_CIRCUIT_GATES}")
+        # run_bench keeps one record per block until the CSV is written
+        if (total := len(self.widths) * self.programs * self.blocks) > MAX_SWEEP_BLOCKS:
+            raise ValueError(f"{total} blocks per sweep exceeds {MAX_SWEEP_BLOCKS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for w in self.widths:

@@ -1,7 +1,10 @@
 """Command-line surface: optimize, verify, bench.
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the files
-inequivalent, 2 usage, parse, or configuration errors, as library calls raise them.
+inequivalent, 2 usage, parse, file, or configuration errors. A command
+returns 0 or 1 or raises; `main` reports each OSError as `path: message`
+and each ValueError (CircuitError, bad configurations, and parse errors
+as `path:line: message`) as its message, on one stderr line, and exits 2.
 
 The oracle and the bench harness, and numpy with them, load on first
 use, so `optimize` starts without numpy. Their names are still
@@ -60,12 +63,16 @@ def _write(path: Path, text: str) -> None:
     costs milliseconds per file. The price is crash consistency: a crash
     mid-rewrite can leave new text followed by old (see the README).
     Symlinks are followed, and devices and FIFOs are written without
-    truncation."""
+    truncation. An error in writing or closing is raised with `path` as
+    its file name, which such an error would otherwise lack."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 @functools.cache
@@ -84,6 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="remove dead gates from a circuit file")
+    p_opt.set_defaults(run=cmd_optimize)
     p_opt.add_argument("input", type=Path)
     p_opt.add_argument("output", type=Path)
     p_opt.add_argument("--report", type=Path, help="write a JSON removal report")
@@ -97,6 +105,7 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p_ver = sub.add_parser("verify", help="check two circuit files for equivalence")
+    p_ver.set_defaults(run=cmd_verify)
     p_ver.add_argument("a", type=Path)
     p_ver.add_argument("b", type=Path)
     p_ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -109,6 +118,7 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser("bench", help="random-circuit benchmark sweep")
+    p_bench.set_defaults(run=cmd_bench)
     p_bench.add_argument("--widths", default="2:40:2",
                          help="start:stop:step or comma list (default 2:40:2)")
     p_bench.add_argument("--dead", default="fixed:1",
@@ -128,35 +138,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(path: Path):
+    """The parsed file at `path`. A parse or decode error is raised as a
+    ValueError that names the file; an OSError passes through."""
     try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
-    except UnicodeDecodeError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return parse(text)
+        return parse(path.read_text())
     except QasmError as exc:
-        print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
-        return None
+        raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_optimize(args) -> int:
     src = _load(args.input)
-    if src is None:
-        return 2
     flags = RuleFlags(extended=args.extended, swap_relabel=not args.no_swap_relabel)
     optimized, report = eliminate_dead_gates(src.circuit, flags)
-    out_text = serialize(src.with_circuit(optimized))
-    try:
-        _write(args.output, out_text)
-        if args.report:
-            _write(args.report, report.to_json())
-    except OSError as exc:
-        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+    _write(args.output, serialize(src.with_circuit(optimized)))
+    if args.report:
+        _write(args.report, report.to_json())
     rules = {}
     for r in report.removed:
         rules[r.rule] = rules.get(r.rule, 0) + 1
@@ -218,78 +216,66 @@ def _print_verdict(verdict: EquivalenceVerdict, samples: int, tol: float) -> int
 def cmd_verify(args) -> int:
     # the second file is read only if the first loads, so one bad file
     # given twice is reported once
-    if (a := _load(args.a)) is None or (b := _load(args.b)) is None:
-        return 2
+    a, b = _load(args.a), _load(args.b)
     ca, cb = a.circuit, b.circuit
-    try:
-        # neither the kept bits nor a pairing can match files of two widths
-        if ca.n != cb.n:
-            raise CircuitError(f"qubit counts differ: {ca.n} vs {cb.n}")
-        if args.pairing is not None:
-            wires_a, wires_b = _paired_wires(ca, cb, _parse_pairing(args.pairing))
-        else:
-            # Compare the joint distribution of the kept classical bits; each
-            # file's measure statements say which wire carries which bit.
-            kept_a = {c: w for w, c in a.measures if w not in ca.dead}
-            kept_b = {c: w for w, c in b.measures if w not in cb.dead}
-            if set(kept_a) != set(kept_b):
-                raise ValueError(
-                    "kept classical bits differ between the files; "
-                    "use --map for relabeled comparisons"
-                )
-            bits = sorted(kept_a)
-            wires_a, wires_b = [kept_a[c] for c in bits], [kept_b[c] for c in bits]
-        verdict = _resolve("check_marginal_equiv")(
-            ca, cb, wires_a, wires_b,
-            samples=args.samples, seed=args.seed, tol=args.tol, cap=args.qubit_limit,
-        )
-        return _print_verdict(verdict, args.samples, args.tol)
-    except (CircuitError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    # neither the kept bits nor a pairing can match files of two widths
+    if ca.n != cb.n:
+        raise CircuitError(f"qubit counts differ: {ca.n} vs {cb.n}")
+    if args.pairing is not None:
+        wires_a, wires_b = _paired_wires(ca, cb, _parse_pairing(args.pairing))
+    else:
+        # Compare the joint distribution of the kept classical bits; each
+        # file's measure statements say which wire carries which bit.
+        kept_a = {c: w for w, c in a.measures if w not in ca.dead}
+        kept_b = {c: w for w, c in b.measures if w not in cb.dead}
+        if set(kept_a) != set(kept_b):
+            raise ValueError(
+                "kept classical bits differ between the files; "
+                "use --map for relabeled comparisons"
+            )
+        bits = sorted(kept_a)
+        wires_a, wires_b = [kept_a[c] for c in bits], [kept_b[c] for c in bits]
+    verdict = _resolve("check_marginal_equiv")(
+        ca, cb, wires_a, wires_b,
+        samples=args.samples, seed=args.seed, tol=args.tol, cap=args.qubit_limit,
+    )
+    return _print_verdict(verdict, args.samples, args.tol)
 
 
 def _parse_widths(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 2:
-            start, stop, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-        else:
-            raise ValueError(f"bad width range {text!r}")
-        # more widths than the gate bound make no valid sweep: refuse before building
-        if step <= 0 or stop < start or (stop - start) // step >= MAX_CIRCUIT_GATES:
-            raise ValueError(f"bad width range {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    """`--widths` as start:stop[:step], stop included, or a comma list."""
+    is_range = ":" in text
+    try:
+        parts = [int(p) for p in text.split(":" if is_range else ",")]
+        if not is_range:
+            return tuple(parts)
+        # four or more parts fail to unpack
+        start, stop, step = parts if len(parts) == 3 else (*parts, 1)
+    except ValueError:
+        raise ValueError(f"bad width {'range' if is_range else 'list'} {text!r}") from None
+    # more widths than the gate bound make no valid sweep: refuse before building
+    if step <= 0 or stop < start or (stop - start) // step >= MAX_CIRCUIT_GATES:
+        raise ValueError(f"bad width range {text!r}")
+    return tuple(range(start, stop + 1, step))
 
 
 def cmd_bench(args) -> int:
-    try:
-        cfg = _resolve("BenchConfig")(
-            widths=_parse_widths(args.widths),
-            dead_mode=_resolve("DeadMode").parse(args.dead),
-            gate_multiplier=args.gate_multiplier,
-            single_qubit_fraction=args.fraction_1q,
-            blocks=args.blocks,
-            programs=args.programs,
-            seed=args.seed,
-            palette=tuple(p.strip() for p in args.palette.split(",")),
-            verify_fraction=args.verify_fraction,
-            measure_time=not args.no_timing,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    cfg = _resolve("BenchConfig")(
+        widths=_parse_widths(args.widths),
+        dead_mode=_resolve("DeadMode").parse(args.dead),
+        gate_multiplier=args.gate_multiplier,
+        single_qubit_fraction=args.fraction_1q,
+        blocks=args.blocks,
+        programs=args.programs,
+        seed=args.seed,
+        palette=tuple(p.strip() for p in args.palette.split(",")),
+        verify_fraction=args.verify_fraction,
+        measure_time=not args.no_timing,
+    )
     records, csv_text = _resolve("run_bench")(cfg)
-    try:
-        _write(args.out, csv_text)
-        manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
-        _write(manifest_path, _resolve("manifest_json")(cfg, __version__))
-    except OSError as exc:
-        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+    _write(args.out, csv_text)
+    manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
+    _write(manifest_path, _resolve("manifest_json")(cfg, __version__))
     print(f"wrote {len(cfg.widths)} summary rows ({len(records)} runs) to {args.out}")
     return 0
 
@@ -299,11 +285,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command == "optimize":
-        return cmd_optimize(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_bench(args)
+    # every refusal a command raises is reported here, on one line
+    try:
+        return args.run(args)
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -5,8 +5,12 @@
 against kept wires, and kept wires read through a dead-wire pairing.
 `simulate` and `basis_state` run one circuit on one input state, and
 `source_from_circuit` wraps a bare circuit so it can be serialized.
-`reference_marginal_equiv` is the oracle's check one sample at a time,
-each circuit simulated whole. Run on the circuits themselves it is the
+`simulate` and `marginal` share no code with the oracle: their gate
+matrices are written from the gates' definitions, each gate is applied
+by moving its wires to the front, and outcome probabilities are summed
+with `einsum`. `reference_marginal_equiv` is the oracle's check one
+sample at a time, each circuit simulated whole, on the oracle's seeded
+input states. Run on the circuits themselves it is the
 verdict reference for the oracle; run on `reduced_pair`'s circuits, which
 hold only what the oracle simulates, it must match the oracle's worst gap
 and witness to rounding.
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from deadgate import oracle
 from deadgate.bench import _ONE_QUBIT, DEFAULT_PALETTE
 from deadgate.circuit import (
-    Circuit, Controlled, GateKind, Opaque, SingleQubit, Swap, build_circuit,
+    Circuit, CircuitError, Controlled, GateKind, Opaque, SingleQubit, Swap, build_circuit,
 )
 from deadgate.qasm import SourceCircuit
 
@@ -57,10 +61,78 @@ def basis_state(bits: str) -> np.ndarray:
     return amps
 
 
+def _phase(angle: float) -> np.ndarray:
+    return np.diag([1, np.exp(1j * angle)])
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": _phase(np.pi),
+}
+_FIXED = {
+    **_PAULI,
+    "H": (_PAULI["X"] + _PAULI["Z"]) / np.sqrt(2),
+    "S": _phase(np.pi / 2), "Sdg": _phase(-np.pi / 2),
+    "T": _phase(np.pi / 4), "Tdg": _phase(-np.pi / 4),
+}
+
+
+def _rotation(axis: str, t: float) -> np.ndarray:
+    """exp(-i t P / 2) for the Pauli P named by `axis`."""
+    return np.cos(t / 2) * _PAULI["I"] - 1j * np.sin(t / 2) * _PAULI[axis]
+
+
+def gate_matrix(base: str, params=()) -> np.ndarray:
+    """2x2 matrix of a named one-qubit gate, from its definition."""
+    if base in _FIXED:
+        return _FIXED[base]
+    if base == "U3":
+        # U3(t, p, l) = e^{i(p+l)/2} RZ(p) RY(t) RZ(l)
+        t, p, lam = params
+        return np.exp(0.5j * (p + lam)) * (
+            _rotation("Z", p) @ _rotation("Y", t) @ _rotation("Z", lam)
+        )
+    (t,) = params  # RX, RY, RZ
+    return _rotation(base[1], t)
+
+
+def kind_matrix(kind: GateKind, bindings) -> np.ndarray:
+    """The gate's matrix on its wires in `kind.qubits()` order, the first
+    wire the most significant bit."""
+    if isinstance(kind, SingleQubit):
+        return gate_matrix(kind.base, kind.params)
+    if isinstance(kind, Controlled):
+        # |1..1><1..1| on the controls picks the base gate, else identity
+        on = np.zeros((2 ** len(kind.controls),) * 2)
+        on[-1, -1] = 1
+        v = gate_matrix(kind.base, kind.params)
+        return np.kron(np.eye(len(on)) - on, _PAULI["I"]) + np.kron(on, v)
+    if isinstance(kind, Swap):
+        # basis |ab> goes to |ba>
+        return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    if kind.label not in bindings:
+        raise CircuitError(f"opaque block {kind.label!r} has no bound unitary")
+    return np.asarray(bindings[kind.label], dtype=complex)
+
+
 def simulate(c: Circuit, amps: np.ndarray, bindings=None) -> np.ndarray:
     """Amplitudes after applying the circuit's unitary to `amps`."""
-    state = np.asarray(amps, dtype=complex).reshape((2,) * c.n + (1,))
-    return oracle._run(oracle._compile(c.gates, bindings or {}, range(c.n)), state).reshape(-1)
+    state = np.asarray(amps, dtype=complex).reshape((2,) * c.n)
+    for g in c.gates:
+        k = len(g.qubits)
+        front = np.moveaxis(state, g.qubits, range(k))
+        moved = kind_matrix(g.kind, bindings or {}) @ front.reshape(2**k, -1)
+        state = np.moveaxis(moved.reshape(front.shape), range(k), g.qubits)
+    return state.reshape(-1)
+
+
+def marginal(amps: np.ndarray, n: int, wires) -> np.ndarray:
+    """Probabilities over the listed wires, the first one the most
+    significant bit of the outcome index."""
+    probs = (np.abs(amps) ** 2).reshape((2,) * n)
+    return np.einsum(probs, list(range(n)), list(wires)).reshape(-1)
 
 
 def reference_marginal_equiv(
@@ -75,8 +147,8 @@ def reference_marginal_equiv(
     sample_gaps = []
     for i in range(samples):
         amps = oracle.random_state(c1.n, seed=(seed, i))
-        p1 = oracle._marginal(simulate(c1, amps, bindings), c1.n, wires1)
-        p2 = oracle._marginal(simulate(c2, amps, bindings), c2.n, wires2)
+        p1 = marginal(simulate(c1, amps, bindings), c1.n, wires1)
+        p2 = marginal(simulate(c2, amps, bindings), c2.n, wires2)
         gaps = np.abs(p1 - p2)
         k = int(np.argmax(gaps))
         sample_gaps.append(float(gaps[k]))

@@ -4,21 +4,45 @@
 the frontier until a sweep removes nothing, examining each sweep's
 snapshot in ascending gate id. It rebuilds the frontier on every sweep, so
 it is quadratic in the length of a dead chain; the tests compare
-`eliminate_dead_gates` with it. The single-step helpers below (frontier,
-rule check, one removal, gate lookups) are used only by tests.
+`eliminate_dead_gates` with it. Its rule check and SWAP relabel are its
+own, written from the R1-R4 table in that module's docstring, so a rule
+error in the pass shows as a difference. The single-step helpers below
+(frontier, rule check, one removal, gate lookups) are used only by tests.
 """
 
 from __future__ import annotations
 
-from deadgate.circuit import Circuit, CircuitError, Gate
-from deadgate.eliminate import (
-    OptimizationReport,
-    RemovalRule,
-    RemovedGate,
-    RuleFlags,
-    _match_rule,
-    _relabel_after_swap,
-)
+from deadgate.circuit import Circuit, CircuitError, Controlled, Gate, SingleQubit, Swap
+from deadgate.eliminate import OptimizationReport, RemovalRule, RemovedGate, RuleFlags
+
+
+def match_rule(kind, dead: frozenset[int], flags: RuleFlags) -> RemovalRule | None:
+    """The first of R1-R4 that removes frontier gate `kind`, or None.
+
+    R2 reads the gate's target, which for cz and ccz is the highest wire
+    (the parser and the bench generator put it there).
+    """
+    wires = set(kind.qubits())
+    if isinstance(kind, SingleQubit) and wires <= dead:
+        return RemovalRule.R1
+    if isinstance(kind, Controlled) and kind.target in dead:
+        return RemovalRule.R2
+    if isinstance(kind, Swap) and flags.swap_relabel and wires & dead:
+        return RemovalRule.R3
+    if flags.extended and wires <= dead:
+        return RemovalRule.R4
+    return None
+
+
+def relabel(kind: Swap, dead: frozenset[int], outcome_map: tuple[int, ...]):
+    """Dead set and outcome map once frontier SWAP `kind` is removed: with
+    one dead endpoint the deadness moves to the other, and each label's
+    wire passes through the exchange; with both dead nothing moves."""
+    ends = {kind.a, kind.b}
+    if len(ends & dead) != 1:
+        return dead, outcome_map
+    exchange = {kind.a: kind.b, kind.b: kind.a}
+    return dead ^ ends, tuple(exchange.get(w, w) for w in outcome_map)
 
 
 def frontier(c: Circuit) -> set[int]:
@@ -74,7 +98,7 @@ def is_dead_gate(
     """Rule under which frontier gate `gid` is removable, or None."""
     if gid not in frontier(c):
         raise CircuitError(f"gate {gid} is not in the frontier")
-    return _match_rule(gate(c, gid).kind, c.dead, flags)
+    return match_rule(gate(c, gid).kind, c.dead, flags)
 
 
 def apply_removal(c: Circuit, gid: int, rule: RemovalRule) -> Circuit:
@@ -89,7 +113,7 @@ def apply_removal(c: Circuit, gid: int, rule: RemovalRule) -> Circuit:
     kind = gate(c, gid).kind
     out = remove_gate(c, gid)
     if rule is RemovalRule.R3:
-        dead, outcome_map = _relabel_after_swap(kind, out.dead, out.outcome_map)
+        dead, outcome_map = relabel(kind, out.dead, out.outcome_map)
         out = Circuit(out.n, out.gates, dead, outcome_map)
     return out
 
@@ -113,12 +137,12 @@ def sweep_eliminate(
         for gid in snapshot:
             gate_checks += 1
             kind = by_id[gid].kind
-            rule = _match_rule(kind, dead, flags)
+            rule = match_rule(kind, dead, flags)
             if rule is None:
                 continue
             dropped.add(gid)
             if rule is RemovalRule.R3:
-                dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
+                dead, outcome_map = relabel(kind, dead, outcome_map)
             removed.append(RemovedGate(gid, kind.summary(), rule.value))
         if not dropped:
             break

@@ -326,6 +326,12 @@ class TestRunBench:
         small_config(widths=(2, 10), gate_multiplier=100_000)
         with pytest.raises(ValueError, match="^1000010 gates per circuit exceeds 1000000$"):
             small_config(widths=(2, 10), gate_multiplier=100_001)
+        # the sweep bound is on widths * programs * blocks, and admits the
+        # library defaults over 20 widths
+        BenchConfig(widths=tuple(range(2, 42, 2)), dead_mode=DeadMode("fixed", 1))
+        small_config(widths=(2, 3, 4), programs=1000, blocks=500)
+        with pytest.raises(ValueError, match="^1500001 blocks per sweep exceeds 1500000$"):
+            small_config(widths=(2,), programs=1_500_001, blocks=1)
 
     def test_config_is_frozen(self):
         cfg = small_config()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ class TestBuildCircuit:
     def test_controlled_needs_control(self):
         with pytest.raises(CircuitError):
             build_circuit(2, [Controlled("X", (), 0)])
+
+    @pytest.mark.parametrize("n, kinds, message", [
+        (2, [SingleQubit("FOO", 0)], "unknown gate base 'FOO'"),
+        (2, [Opaque("U", ())], "opaque block needs at least one qubit"),
+        (-1, [], "qubit count must be non-negative"),
+    ], ids=["unknown_base", "opaque_without_wires", "negative_width"])
+    def test_refusal_message(self, n, kinds, message):
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            build_circuit(n, kinds)
 
     def test_swap_distinct(self):
         with pytest.raises(CircuitError):

@@ -143,24 +143,45 @@ class TestParseErrors:
         (["// a\x0cb", "qreg q[1];", "frobnicate q[0];"], 5, "unknown gate 'frobnicate'"),
         *((["qreg q[1];", f"opaque {word} p0;"], 4, f"opaque name {word!r} is a reserved word")
           for word in KEYWORDS),
+        (["qreg q[1];", "creg c[1];", "creg d[1];"], 5, "only one creg is supported"),
+        (["qreg q[1];", "opaque U p0;", "opaque U p0;"], 5, "opaque 'U' redeclared"),
+        (["qreg q[1];", "#pragma dge keep q[0]"], 4,
+         "unknown pragma (expected '#pragma dge discard q[i]')"),
+        (["#pragma dge discard q[0]", "qreg q[1];"], 3, "discard pragma before qreg declaration"),
+        (["qreg q[1];", "rz q[0];"], 4, "rz expects 1 parameter(s)"),
+        (["qreg q[2];", "cx q[0];"], 4, "cx expects 2 qubit(s)"),
+        (["qreg q[1];", "opaque U p0;", "U(1) q[0];"], 5, "opaque blocks take no parameters"),
+        (["qreg q[1];", "rz(,) q[0];"], 4, "empty gate parameter"),
     ], ids=["unknown_gate", "wire_measured_twice", "opaque_wire_twice", "long_qreg",
             "long_creg", "long_gate_arg", "long_measure_target", "long_discard",
             "form_feed_between_statements", "form_feed_in_comment",
-            *(f"opaque_named_{word}" for word in KEYWORDS)])
+            *(f"opaque_named_{word}" for word in KEYWORDS),
+            "second_creg", "opaque_redeclared", "unknown_pragma", "discard_before_qreg",
+            "parameter_count", "qubit_count", "opaque_with_parameter", "empty_parameter"])
     def test_exact_stderr(self, tmp_path, capsys, lines, line, message):
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n' + "\n".join(lines) + "\n"
+        self.assert_refused(tmp_path, capsys, text, line, message)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "missing 'OPENQASM 2.0;' header"),
+        ("// only a comment\n", 1, "missing 'OPENQASM 2.0;' header"),
+        ("OPENQASM 2.0;\n\n\n", 3, "missing qreg declaration"),
+    ], ids=["empty", "comment_only", "header_only"])
+    def test_exact_stderr_whole_file(self, tmp_path, capsys, text, line, message):
+        self.assert_refused(tmp_path, capsys, text, line, message)
+
+    def assert_refused(self, tmp_path, capsys, text, line, message):
         bad = write(tmp_path, "bad.qasm", text)
         good = write(tmp_path, "good.qasm", fixtures.cnot_source())
         expected = f"{bad}:{line}: {message}\n"
-        for argv, errors in (
-            (["optimize", str(bad), str(tmp_path / "out.qasm")], 1),
-            (["verify", str(bad), str(good)], 1),
-            (["verify", str(good), str(bad)], 1),
-            (["verify", str(bad), str(bad)], 1),
+        for argv in (
+            ["optimize", str(bad), str(tmp_path / "out.qasm")],
+            ["verify", str(bad), str(good)],
+            ["verify", str(good), str(bad)],
+            ["verify", str(bad), str(bad)],
         ):
             assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", expected * errors)
+            assert capsys.readouterr() == ("", expected)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +248,21 @@ class TestVerify:
                   + "".join(f"measure q[{w}] -> c[{w}];\n" for w in measured))
         assert main(["verify", str(a), str(b)]) == 2
         assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
+
+    def test_kept_bits_differ_exit_2(self, tmp_path, capsys):
+        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n"
+        a = write(tmp_path, "a.qasm", head + "measure q[0] -> c[0];\n")
+        b = write(tmp_path, "b.qasm", head + "measure q[0] -> c[1];\n")
+        assert main(["verify", str(a), str(b)]) == 2
+        assert capsys.readouterr() == ("", (
+            "kept classical bits differ between the files; "
+            "use --map for relabeled comparisons\n"
+        ))
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        a = write(tmp_path, "h.qasm", one_qubit("h"))
+        assert main(["verify", str(a), str(a), "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "seed must be non-negative, got -1\n")
 
     def test_witness_marks_bits_not_simulated(self, tmp_path, capsys):
         # wire 1 is untouched and read alike, so its bit is not compared
@@ -374,6 +410,46 @@ class TestBench:
         assert "verify fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_part_width_range(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--widths", "2:4", "--programs", "1", "--blocks", "1",
+            "--gate-multiplier", "2", "--no-timing", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr() == (f"wrote 3 summary rows (3 runs) to {out}\n", "")
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--widths", "1:2:3:4"], "bad width range '1:2:3:4'"),
+        (["--widths", "5:2"], "bad width range '5:2'"),
+        (["--widths", "2:10:0"], "bad width range '2:10:0'"),
+        (["--widths", "2:x"], "bad width range '2:x'"),
+        (["--widths", "2,x"], "bad width list '2,x'"),
+        (["--dead", "fixed:x"], "dead mode 'fixed:x' is not of the form fixed:k or pct:p"),
+        (["--dead", "fixed:0"], "dead mode value must be positive"),
+        (["--1q-fraction", "2"], "single-qubit fraction must be in (0,1)"),
+        (["--gate-multiplier", "0"], "gate multiplier, blocks and programs must be >= 1"),
+        (["--blocks", "0"], "gate multiplier, blocks and programs must be >= 1"),
+        (["--programs", "0"], "gate multiplier, blocks and programs must be >= 1"),
+        (["--seed", "-1"], "seed must be non-negative"),
+    ], ids=["range_four_parts", "range_descending", "range_zero_step", "range_not_int",
+            "list_not_int", "dead_not_int", "dead_zero", "fraction", "gate_multiplier",
+            "blocks", "programs", "seed"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--widths", "4", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not out.exists()
+
+    def test_out_in_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bench.csv"
+        code = main(["bench", "--widths", "2", "--programs", "1", "--blocks", "1",
+                     "--gate-multiplier", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
+
     def test_pct_mode_row(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([
@@ -433,6 +509,21 @@ class TestWritePath:
     def test_dev_null_output(self, tmp_path):
         devnull = Path(os.devnull)
         assert self.optimize(tmp_path, fixtures.cnot_source(), devnull, devnull) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["optimize", "report", "bench"])
+    def test_write_error_names_the_path(self, tmp_path, capsys, command):
+        # a full device fails the write or the close, not the open
+        src = write(tmp_path, "in.qasm", fixtures.cnot_source())
+        out, full = str(tmp_path / "out"), "/dev/full"
+        argv = {
+            "optimize": ["optimize", str(src), full],
+            "report": ["optimize", str(src), out, "--report", full],
+            "bench": ["bench", "--widths", "2", "--programs", "1", "--blocks", "1",
+                      "--gate-multiplier", "2", "--out", full],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"{full}: No space left on device\n")
 
     def test_directory_output_exit_2(self, tmp_path, capsys):
         out = tmp_path / "dir"
@@ -532,10 +623,16 @@ class TestAllocationBounds:
         (["--widths", "2:1000000000000"], "bad width range '2:1000000000000'"),
         (["--widths=-100000000000000000000:4"],
          "bad width range '-100000000000000000000:4'"),
-    ], ids=["gate_multiplier", "range_past_ssize", "range_past_memory", "range_start_low"])
+        (["--widths", "2", "--programs", "1000000000"],
+         "1000000000 blocks per sweep exceeds 1500000"),
+        (["--widths", "2:40:2", "--programs", "1000", "--blocks", "76"],
+         "1520000 blocks per sweep exceeds 1500000"),
+    ], ids=["gate_multiplier", "range_past_ssize", "range_past_memory", "range_start_low",
+            "sweep_programs", "sweep_blocks"])
     def test_bench(self, tmp_path, flags, message):
         out = tmp_path / "b.csv"
-        done = run_python("-c", CAPPED, "bench", *flags, "--programs", "1", "--blocks", "1",
+        # a case's own --programs or --blocks comes last, so it wins
+        done = run_python("-c", CAPPED, "bench", "--programs", "1", "--blocks", "1", *flags,
                           "--out", str(out))
         assert (done.returncode, done.stdout, done.stderr) == (2, "", message + "\n")
         assert not out.exists()

@@ -272,6 +272,11 @@ class TestCheckEquiv:
         with pytest.raises(CircuitError):
             check_marginal_equiv(build_circuit(2, []), build_circuit(3, []), [], [])
 
+    def test_wire_lists_of_unequal_length_raise(self):
+        c = build_circuit(2, [])
+        with pytest.raises(CircuitError, match="^wire lists must have equal length$"):
+            check_marginal_equiv(c, c, [0], [0, 1])
+
     H_VS_X = (build_circuit(1, [SingleQubit("H", 0)]), build_circuit(1, [SingleQubit("X", 0)]))
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -305,6 +310,9 @@ class TestCheckEquiv:
         ({}, "13 qubits exceeds the cap of 12"),
         ({"cap": 13, "samples": 0}, "samples must be at least 1, got 0"),
         ({"cap": 13, "tol": 1.0}, "tol must be finite and in [0, 1), got 1.0"),
+        ({"cap": 13, "seed": -1}, "seed must be non-negative, got -1"),
+        # the seed is checked after samples and tol
+        ({"cap": 13, "seed": -1, "samples": 0}, "samples must be at least 1, got 0"),
     ])
     def test_refuses_before_binding(self, monkeypatch, kwargs, message):
         def unbounded(dim, rng):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from deadgate import (
+    CircuitError,
     Controlled,
     QasmError,
     SingleQubit,
@@ -183,6 +184,13 @@ class TestParse:
 
 
 class TestSerialize:
+    def test_controlled_gate_without_statement_refused(self):
+        sc = source_from_circuit(build_circuit(2, [Controlled("H", (0,), 1)]))
+        with pytest.raises(
+            CircuitError, match=r"^controlled H with 1 control\(s\) has no dialect statement$"
+        ):
+            serialize(sc)
+
     def test_round_trip_semantics(self):
         sc = parse(three_qubit_example_source())
         again = parse(serialize(sc))
