@@ -281,6 +281,7 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], str]:
     records: list[BenchRecord] = []
     verify_every = int(round(1 / cfg.verify_fraction)) if cfg.verify_fraction > 0 else 0
     candidates = 0
+    dead_mode = str(cfg.dead_mode)  # one string shared by every record
     for width in cfg.widths:
         gates = cfg.gate_multiplier * width
         for program in range(cfg.programs):
@@ -302,7 +303,7 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], str]:
                 records.append(
                     BenchRecord(
                         width=width,
-                        dead_mode=str(cfg.dead_mode),
+                        dead_mode=dead_mode,
                         program=program,
                         block=block,
                         dead_count=len(dead),

@@ -142,7 +142,9 @@ class Circuit:
     `gates` is any read-only sequence of gates with `len`, indexing,
     slicing, `reversed` and equality against tuples: a tuple for parsed
     and built circuits, a lazily built sequence for the bench generator's.
-    Treated as immutable: passes return new circuits.
+    Treated as immutable: passes return new circuits. Gates may share one
+    kind object (a parse gives every repeat of a statement the same one),
+    so a kind is never changed in place.
     """
 
     n: int

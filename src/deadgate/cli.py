@@ -56,16 +56,23 @@ def _resolve(name: str):
     return globals()[name] if name in globals() else __getattr__(name)
 
 
-def _write(path: Path, text: str) -> None:
+def _open_out(path: Path) -> int:
+    """A descriptor writing `path`, created if missing, not truncated."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
+def _write(path: Path, text: str, fd: int | None = None) -> None:
     """Write `text` to `path` in place, then cut off any older, longer
     tail. A regular file is not truncated to zero first: on ext4, writing
     into a file just truncated to zero forces writeback at close, which
     costs milliseconds per file. The price is crash consistency: a crash
     mid-rewrite can leave new text followed by old (see the README).
     Symlinks are followed, and devices and FIFOs are written without
-    truncation. An error in writing or closing is raised with `path` as
-    its file name, which such an error would otherwise lack."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    truncation. `fd`, if given, is `path` from `_open_out`, and is closed
+    here. An error in writing or closing is raised with `path` as its
+    file name, which such an error would otherwise lack."""
+    if fd is None:
+        fd = _open_out(path)
     try:
         with open(fd, "w") as fh:
             fh.write(text)
@@ -235,6 +242,10 @@ def cmd_verify(args) -> int:
             )
         bits = sorted(kept_a)
         wires_a, wires_b = [kept_a[c] for c in bits], [kept_b[c] for c in bits]
+    if not wires_a:
+        # a marginal over no bits is 1 for every state, so any two files
+        # would agree: that is no evidence of equivalence
+        raise ValueError("no kept bits to compare: every wire is dead")
     verdict = _resolve("check_marginal_equiv")(
         ca, cb, wires_a, wires_b,
         samples=args.samples, seed=args.seed, tol=args.tol, cap=args.qubit_limit,
@@ -272,8 +283,14 @@ def cmd_bench(args) -> int:
         verify_fraction=args.verify_fraction,
         measure_time=not args.no_timing,
     )
-    records, csv_text = _resolve("run_bench")(cfg)
-    _write(args.out, csv_text)
+    # a path that cannot be written is refused before the sweep, not after
+    fd = _open_out(args.out)
+    try:
+        records, csv_text = _resolve("run_bench")(cfg)
+    except BaseException:
+        os.close(fd)
+        raise
+    _write(args.out, csv_text, fd)
     manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
     _write(manifest_path, _resolve("manifest_json")(cfg, __version__))
     print(f"wrote {len(cfg.widths)} summary rows ({len(records)} runs) to {args.out}")

@@ -270,7 +270,9 @@ def check_marginal_equiv(
         # a gap between probabilities is below 1, so a tolerance of 1 or
         # more accepts every pair; a negative or NaN one accepts none
         raise ValueError(f"tol must be finite and in [0, 1), got {tol}")
-    if isinstance(seed, int) and seed < 0:
+    # an int seed, or each int entry of a tuple seed, before numpy reads it
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    if any(isinstance(s, int) and s < 0 for s in entries):
         raise ValueError(f"seed must be non-negative, got {seed}")
     if c1.n != c2.n:
         raise CircuitError(f"qubit counts differ: {c1.n} vs {c2.n}")

@@ -21,11 +21,15 @@ and '//' always starts a comment. A statement's whole first word picks
 its kind, so OPENQASM, include, qreg, creg, opaque and measure name no
 opaque block. A wire is dead iff it is never measured or appears in a
 discard pragma. Each gate is checked once, on the line that applies it,
-and an error names that line. Angles accept float literals and pi
-expressions (+ - * / parentheses) whose every value is finite;
-serialization emits 17 significant digits so doubles round-trip. cz and
-ccz pick their highest-indexed wire as the represented target, which is
-sound by symmetry and keeps reports deterministic.
+and an error names that line. One parse reads each distinct gate
+statement once: a repeat reuses the kind the first one gave, so the
+gates of a parsed circuit may share kind objects, and a statement not
+seen before still reuses the qubit references and angles already read.
+Angles accept float literals and pi expressions (+ - * / parentheses)
+whose every value is finite; serialization emits 17 significant digits
+so doubles round-trip. cz and ccz pick their highest-indexed wire as the
+represented target, which is sound by symmetry and keeps reports
+deterministic.
 """
 
 from __future__ import annotations
@@ -198,11 +202,19 @@ class _AngleParser:
         return self.finite(val)
 
 
-def _parse_angles(text: str, line: int) -> tuple[float, ...]:
+def _parse_angles(text: str, line: int, known: dict[str, float]) -> tuple[float, ...]:
+    """The parameters in `text`; `known` maps each parameter text already
+    read to its value and gains the ones read here."""
     parts = [p.strip() for p in text.split(",")]
     if any(not p for p in parts):
         raise QasmError(line, "empty gate parameter")
-    return tuple(_AngleParser(p, line).parse() for p in parts)
+    values = []
+    for part in parts:
+        value = known.get(part)
+        if value is None:
+            value = known[part] = _AngleParser(part, line).parse()
+        values.append(value)
+    return tuple(values)
 
 
 class _Parser:
@@ -217,6 +229,14 @@ class _Parser:
         self.measured_wires: set[int] = set()
         self.discards: set[int] = set()
         self.opaque_decls: dict[str, int] = {}
+        # What this parse has already read, keyed on its text: gate
+        # statements, qubit references and angles. Only successes are
+        # kept, so an error is raised where its text first fails. The
+        # qreg, its width and each declared name are fixed once read, so
+        # a text seen again reads as it did the first time.
+        self.kinds: dict[str, GateKind] = {}
+        self.refs: dict[str, int] = {}
+        self.angles: dict[str, float] = {}
 
     def statements(self, text: str):
         """(line, text without ';') per statement; pragmas are read here."""
@@ -241,6 +261,11 @@ class _Parser:
         if not _HEADER.fullmatch(stmt):
             raise QasmError(lineno, "first statement must be 'OPENQASM 2.0;'")
         for lineno, stmt in statements:
+            kind = self.kinds.get(stmt)
+            # after a measure, a gate is refused on its own line below
+            if kind is not None and not self.measures:
+                self.gates.append(Gate(len(self.gates), kind))
+                continue
             m = _GATE.match(stmt)
             word = m and m[1]
             if word == "include":
@@ -299,12 +324,16 @@ class _Parser:
         self.opaque_decls[name] = m[2].count(",") + 1
 
     def qubit_ref(self, text: str, lineno: int) -> int:
+        idx = self.refs.get(text)
+        if idx is not None:
+            return idx
         m = _REF.fullmatch(text.strip())
         if not m or m[1] != self.qreg:
             raise QasmError(lineno, f"expected {self.qreg or 'q'}[i], got {text.strip()!r}")
         idx = _int(m[2])
         if idx >= self.n:
             raise QasmError(lineno, f"qubit index {m[2]} out of range (n={self.n})")
+        self.refs[text] = idx
         return idx
 
     def measure(self, stmt: str, lineno: int) -> None:
@@ -347,7 +376,9 @@ class _Parser:
         if name in _STD_GATES:
             base, n_qubits = _STD_GATES[name]
             n_params = BASE_PARAMS[base] if base else 0
-            params = _parse_angles(param_text, lineno) if param_text is not None else ()
+            params = (
+                _parse_angles(param_text, lineno, self.angles) if param_text is not None else ()
+            )
             if len(params) != n_params:
                 raise QasmError(lineno, f"{name} expects {n_params} parameter(s)")
             if len(args) != n_qubits:
@@ -364,6 +395,7 @@ class _Parser:
             raise QasmError(lineno, f"unknown gate {name!r}")
         if len(set(args)) != len(args):
             raise QasmError(lineno, f"duplicate qubit in {name}")
+        self.kinds[stmt] = kind
         self.gates.append(Gate(len(self.gates), kind))
 
     def std_kind(
@@ -429,8 +461,16 @@ def serialize(sc: SourceCircuit) -> str:
     for label in sorted(sc.opaque_decls):
         formals = ",".join(f"p{i}" for i in range(sc.opaque_decls[label]))
         lines.append(f"opaque {label} {formals};")
+    # id -> (kind, statement): parsed gates share the kind of a repeated
+    # statement, and holding the kind keeps its id from being reused
+    # while the call runs
+    done: dict[int, tuple[GateKind, str]] = {}
     for g in c.gates:
-        lines.append(gate_statement(g.kind, sc.qreg) + ";")
+        kind = g.kind
+        known = done.get(id(kind))
+        if known is None:
+            known = done[id(kind)] = (kind, gate_statement(kind, sc.qreg) + ";")
+        lines.append(known[1])
     for wire, clbit in sc.measures:
         lines.append(f"measure {sc.qreg}[{c.outcome_map[wire]}] -> {sc.creg}[{clbit}];")
     for wire in sorted(c.dead):

@@ -303,6 +303,11 @@ class TestRunBench:
             rows = [r for r in records if r.width == w]
             assert sum(r.gates_removed for r in rows) > 0
 
+    def test_records_share_one_dead_mode_string(self):
+        records, _ = run_bench(small_config(widths=(10,), dead_mode=DeadMode("pct", 20)))
+        assert records[0].dead_mode == "pct:20"
+        assert all(r.dead_mode is records[0].dead_mode for r in records)
+
     def test_dead_count_recorded(self):
         records, _ = run_bench(small_config(widths=(10,), dead_mode=DeadMode("pct", 20)))
         assert all(r.dead_count == 2 for r in records)

@@ -259,6 +259,20 @@ class TestVerify:
             "use --map for relabeled comparisons\n"
         ))
 
+    def test_no_kept_bits_exit_2(self, tmp_path, capsys):
+        # with nothing measured every marginal is 1, so the files would
+        # agree whatever their gates; `--map` always keeps a wire of A
+        head = "OPENQASM 2.0;\nqreg q[2];\n"
+        a = write(tmp_path, "a.qasm", head + "h q[0];\n")
+        b = write(tmp_path, "b.qasm", head + "x q[0];\ncx q[0],q[1];\n")
+        assert main(["verify", str(a), str(b)]) == 2
+        assert capsys.readouterr() == ("", "no kept bits to compare: every wire is dead\n")
+        # measured but discarded is no different
+        c = write(tmp_path, "c.qasm", head + "creg c[1];\nmeasure q[0] -> c[0];\n"
+                  "#pragma dge discard q[0]\n")
+        assert main(["verify", str(c), str(a)]) == 2
+        assert capsys.readouterr() == ("", "no kept bits to compare: every wire is dead\n")
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         a = write(tmp_path, "h.qasm", one_qubit("h"))
         assert main(["verify", str(a), str(a), "--seed", "-1"]) == 2
@@ -275,9 +289,10 @@ class TestVerify:
         assert re.search(r"^witness_outcome: [01]x[01]$", out, re.M), out
 
     def test_opaque_arity_mismatch_exit_2(self, tmp_path, capsys):
-        head = "OPENQASM 2.0;\nqreg q[2];\n"
-        a = write(tmp_path, "a.qasm", head + "opaque U p0;\nU q[0];\n")
-        b = write(tmp_path, "b.qasm", head + "opaque U p0,p1;\nU q[0],q[1];\n")
+        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
+        measure = "measure q[0] -> c[0];\n"
+        a = write(tmp_path, "a.qasm", head + "opaque U p0;\nU q[0];\n" + measure)
+        b = write(tmp_path, "b.qasm", head + "opaque U p0,p1;\nU q[0],q[1];\n" + measure)
         assert main(["verify", str(a), str(b)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
@@ -448,6 +463,15 @@ class TestBench:
         code = main(["bench", "--widths", "2", "--programs", "1", "--blocks", "1",
                      "--gate-multiplier", "2", "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
+
+    def test_out_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_bench", sweep)
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(["bench", "--programs", "200", "--blocks", "10", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
 
     def test_pct_mode_row(self, tmp_path):

@@ -313,6 +313,9 @@ class TestCheckEquiv:
         ({"cap": 13, "seed": -1}, "seed must be non-negative, got -1"),
         # the seed is checked after samples and tol
         ({"cap": 13, "seed": -1, "samples": 0}, "samples must be at least 1, got 0"),
+        # each entry of a tuple seed, not numpy's unnamed refusal
+        ({"cap": 13, "seed": (-1, 2)}, "seed must be non-negative, got (-1, 2)"),
+        ({"cap": 13, "seed": (1, -2)}, "seed must be non-negative, got (1, -2)"),
     ])
     def test_refuses_before_binding(self, monkeypatch, kwargs, message):
         def unbounded(dim, rng):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadgate import (
     CircuitError,
@@ -9,13 +12,15 @@ from deadgate import (
     QasmError,
     SingleQubit,
     Swap,
+    Gate,
     build_circuit,
     parse,
     serialize,
 )
+from deadgate.bench import random_circuit
 
 from fixtures import three_qubit_example_source
-from helpers import mutants, programs, source_from_circuit
+from helpers import FIXTURE_SOURCES, mutants, programs, source_from_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -268,6 +273,112 @@ class TestGeneratedPrograms:
         sc = parse(text)
         out = serialize(sc)
         assert serialize(parse(out)) == out
+
+
+_KEYWORD = re.compile(r"(OPENQASM|include|qreg|creg|opaque|measure)\b|#")
+
+
+def split_program(text: str) -> tuple[list[str], list[str], list[str]]:
+    """A valid program's statements before its gates, its gate
+    statements, and those after them; comments and blank lines dropped."""
+    head, gates, tail = [], [], []
+    for line in text.split("\n"):
+        stmt = line.partition("//")[0].strip()
+        if not stmt:
+            continue
+        if not _KEYWORD.match(stmt):
+            gates.append(stmt)
+        elif gates or stmt.startswith(("measure", "#")):
+            tail.append(stmt)
+        else:
+            head.append(stmt)
+    return head, gates, tail
+
+
+def unshared(sc):
+    """`sc` with a fresh kind object for every gate."""
+    c = sc.circuit
+    gates = tuple(Gate(g.id, dataclasses.replace(g.kind)) for g in c.gates)
+    return sc.with_circuit(dataclasses.replace(c, gates=gates))
+
+
+class TestParseCaches:
+    """One parse reads each distinct gate statement, qubit reference and
+    angle once; a repeat must read as the first did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(programs(), st.sampled_from(FIXTURE_SOURCES)), data=st.data())
+    def test_each_gate_reads_as_its_statement_alone(self, text, data):
+        head, gates, tail = split_program(text)
+        # repeats of the program's own statements, so that the caches hit
+        repeats = data.draw(st.lists(st.sampled_from(gates), max_size=12)) if gates else []
+        body = data.draw(st.permutations(gates + repeats))
+        got = parse("\n".join(head + body + tail) + "\n").circuit.gates
+        assert len(got) == len(body)
+        for gate, stmt in zip(got, body):
+            alone = parse("\n".join(head + [stmt]) + "\n").circuit.gates
+            assert [g.kind for g in alone] == [gate.kind], stmt
+
+    def test_references_read_whole(self):
+        text = program("qreg q[12];", "h q[1];", "h q[11];", "h  q[ 01];", "cx q[11],q[1];",
+                       "h q[1];")
+        assert [g.qubits for g in parse(text).circuit.gates] == [(1,), (11,), (1,), (11, 1), (1,)]
+
+    def test_repeats_share_one_kind(self):
+        gates = parse(program("qreg q[2];", "cx q[0],q[1];", "h q[0];", "cx q[0],q[1];"))
+        assert gates.circuit.gates[0].kind is gates.circuit.gates[2].kind
+
+    def test_repeat_after_measure_fails_on_its_line(self):
+        text = program("qreg q[1];", "creg c[1];", "h q[0];", "measure q[0] -> c[0];",
+                       "h q[0];")
+        with pytest.raises(QasmError) as err:
+            parse(text)
+        assert (err.value.line, err.value.message) == (
+            7, "gate after measure (mid-circuit measurement)"
+        )
+
+    @pytest.mark.parametrize("good, bad, message", [
+        (None, "h q[2];", "qubit index 2 out of range (n=2)"),
+        (None, "rx(pi/0) q[0];", "cannot parse angle 'pi/0': division by zero"),
+        # the bad statement shares a reference or an angle with a good one
+        ("h q[0];", "h q[0],q[1];", "h expects 1 qubit(s)"),
+        ("rx(pi/2) q[0];", "rx(pi/2) q[0],q[1];", "rx expects 1 qubit(s)"),
+        ("rx(pi/2) q[0];", "u3(pi/2,pi/2) q[0];", "u3 expects 3 parameter(s)"),
+    ], ids=["range", "angle", "shared_ref", "shared_angle", "params"])
+    def test_bad_statement_fails_where_it_first_appears(self, good, bad, message):
+        lines = ["qreg q[2];", *([good] * 2 if good else []), bad, "x q[1];", bad]
+        with pytest.raises(QasmError) as err:
+            parse(program(*lines))
+        assert (err.value.line, err.value.message) == (lines.index(bad) + 3, message)
+
+    def test_parses_share_nothing(self):
+        assert len(parse(program("qreg q[6];", "h q[5];")).circuit.gates) == 1
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg q[3];", "h q[5];"))
+        assert err.value.message == "qubit index 5 out of range (n=3)"
+        assert len(parse(program("qreg a[2];", "cx a[0],a[1];")).circuit.gates) == 1
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg b[2];", "cx a[0],a[1];"))
+        assert err.value.message == "expected b[i], got 'a[0]'"
+        assert len(parse(program("qreg q[2];", "opaque U p0;", "U q[0];")).circuit.gates) == 1
+        with pytest.raises(QasmError) as err:
+            parse(program("qreg q[2];", "U q[0];"))
+        assert err.value.message == "unknown gate 'U'"
+
+    @pytest.mark.parametrize("text", [
+        *FIXTURE_SOURCES,
+        program("qreg q[3];", "creg c[3];", *["h q[0];", "cx q[0],q[1];", "rz(pi/4) q[2];",
+                "ccz q[2],q[0],q[1];", "swap q[1],q[2];"] * 4, "measure q[1] -> c[1];"),
+    ])
+    def test_serialize_matches_unshared_kinds(self, text):
+        sc = parse(text)
+        assert serialize(sc) == serialize(unshared(sc))
+
+    def test_serialize_of_transient_kinds(self):
+        # a generated circuit builds each gate's kind where it is read and
+        # may free it after, so an id alone could name two kinds in turn
+        sc = source_from_circuit(random_circuit(5, 400, 0.5, seed=3))
+        assert serialize(sc) == serialize(unshared(sc))
 
 
 class TestParseIsTotal:
