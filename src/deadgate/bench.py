@@ -23,16 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circuit import Circuit, Gate, GateKind, SingleQubit, named_kind
+
 # build_circuit stays a name here: perfbench's tracer wraps bench.build_circuit
-from .circuit import (  # noqa: F401
-    Circuit,
-    Controlled,
-    Gate,
-    GateKind,
-    SingleQubit,
-    Swap,
-    build_circuit,
-)
+from .circuit import build_circuit  # noqa: F401
 from .defaults import MAX_CIRCUIT_GATES, MAX_SWEEP_BLOCKS
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
@@ -147,13 +141,7 @@ class _Draws(NamedTuple):
     def kind(self, i: int) -> GateKind:
         if self.is_1q.item(i):
             return SingleQubit(_ONE_QUBIT[self.base_idx.item(i)], self.wire.item(i))
-        a, b = self.a.item(i), self.b.item(i)
-        name = self.palette[self.pal_idx.item(i)]
-        if name == "cx":
-            return Controlled("X", (a,), b)
-        if name == "cz":
-            return Controlled("Z", (min(a, b),), max(a, b))
-        return Swap(a, b)
+        return named_kind(self.palette[self.pal_idx.item(i)], (self.a.item(i), self.b.item(i)))
 
 
 class DrawnGates:

@@ -21,6 +21,25 @@ BASE_PARAMS: dict[str, int] = {
 }
 
 
+# The dialect's named gates: name -> (base, number of controls). Each
+# acts on controls + 1 wires; swap has no base and is listed with one
+# control so that it acts on two. A controlled Z is symmetric in its
+# wires, so cz and ccz are read with their highest-indexed wire as the
+# represented target, which is sound by symmetry and keeps reports
+# deterministic, and are written with their wires ascending.
+NAMED_GATES: dict[str, tuple[str | None, int]] = {
+    "h": ("H", 0), "x": ("X", 0), "y": ("Y", 0), "z": ("Z", 0),
+    "s": ("S", 0), "sdg": ("Sdg", 0), "t": ("T", 0), "tdg": ("Tdg", 0),
+    "rx": ("RX", 0), "ry": ("RY", 0), "rz": ("RZ", 0), "u3": ("U3", 0),
+    "cx": ("X", 1), "cy": ("Y", 1), "cz": ("Z", 1), "crz": ("RZ", 1),
+    "ccx": ("X", 2), "ccz": ("Z", 2), "swap": (None, 1),
+}
+# (base, number of controls) -> name of the controlled gate
+_CONTROLLED_NAMES = {
+    (base, nc): name for name, (base, nc) in NAMED_GATES.items() if base and nc
+}
+
+
 class CircuitError(ValueError):
     """Raised for malformed circuits or invalid circuit operations."""
 
@@ -93,9 +112,50 @@ GateKind = SingleQubit | Controlled | Swap | Opaque
 
 
 def _base_text(base: str, params: tuple[float, ...]) -> str:
+    """`base` in lower case with its parameters, at 17 significant digits
+    so that a double survives a write and a read."""
     if not params:
         return base.lower()
-    return base.lower() + "(" + ",".join(f"{p:.17g}" for p in params) + ")"
+    return base.lower() + "(" + ",".join([f"{p:.17g}" for p in params]) + ")"
+
+
+def named_kind(name: str, wires: tuple[int, ...], params: tuple[float, ...] = ()) -> GateKind:
+    """The kind a NAMED_GATES entry applies to `wires`, in read order: a
+    controlled gate's last wire is its target, except that of cz and ccz,
+    which is their highest. The caller checks the wire and parameter
+    counts."""
+    base, controls = NAMED_GATES[name]
+    if base is None:
+        return Swap(wires[0], wires[1])
+    if not controls:
+        return SingleQubit(base, wires[0], params)
+    if base == "Z":
+        target = max(wires)
+        i = wires.index(target)
+        return Controlled(base, wires[:i] + wires[i + 1:], target, params)
+    return Controlled(base, wires[:-1], wires[-1], params)
+
+
+def dialect_form(kind: GateKind) -> tuple[str, tuple[int, ...]]:
+    """The dialect's text for `kind`'s name and parameters, and its wires
+    in written order: the inverse of `named_kind`, or an opaque block's
+    label and wires. A controlled gate no name covers is refused."""
+    if isinstance(kind, SingleQubit):
+        return _base_text(kind.base, kind.params), (kind.qubit,)
+    if isinstance(kind, Controlled):
+        nc = len(kind.controls)
+        name = _CONTROLLED_NAMES.get((kind.base, nc))
+        if name is None:
+            raise CircuitError(
+                f"controlled {kind.base} with {nc} control(s) has no dialect statement"
+            )
+        wires = (*kind.controls, kind.target)
+        if kind.base == "Z":
+            wires = tuple(sorted(wires))
+        return _base_text(name, kind.params), wires
+    if isinstance(kind, Swap):
+        return "swap", (kind.a, kind.b)
+    return kind.label, kind.wires
 
 
 def _check_kind(kind: GateKind, n: int) -> None:

@@ -15,6 +15,7 @@ whatever is bound here at call time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import os
@@ -56,30 +57,37 @@ def _resolve(name: str):
     return globals()[name] if name in globals() else __getattr__(name)
 
 
-def _open_out(path: Path) -> int:
-    """A descriptor writing `path`, created if missing, not truncated."""
-    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+@contextlib.contextmanager
+def _outputs(*paths: Path):
+    """A text file writing each of `paths`, created if missing and not
+    truncated, for `_write`. All are opened before the work that fills
+    them, so that a path that cannot be written is refused before that
+    work and before any output is written; a new path may be left empty.
+    Each file is closed on leaving, written or not."""
+    def in_place(path: str, flags: int) -> int:
+        return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(open(path, "w", opener=in_place)) for path in paths]
 
 
-def _write(path: Path, text: str, fd: int | None = None) -> None:
-    """Write `text` to `path` in place, then cut off any older, longer
-    tail. A regular file is not truncated to zero first: on ext4, writing
-    into a file just truncated to zero forces writeback at close, which
-    costs milliseconds per file. The price is crash consistency: a crash
-    mid-rewrite can leave new text followed by old (see the README).
-    Symlinks are followed, and devices and FIFOs are written without
-    truncation. `fd`, if given, is `path` from `_open_out`, and is closed
-    here. An error in writing or closing is raised with `path` as its
-    file name, which such an error would otherwise lack."""
-    if fd is None:
-        fd = _open_out(path)
+def _write(fh, text: str) -> None:
+    """Write `text` over the start of `fh`, from `_outputs`, then cut off
+    any older, longer tail, and close it. A regular file is not truncated
+    to zero first: on ext4, writing into a file just truncated to zero
+    forces writeback at close, which costs milliseconds per file. The
+    price is crash consistency: a crash mid-rewrite can leave new text
+    followed by old (see the README). Symlinks are followed, and devices
+    and FIFOs are written without truncation. An error in writing or
+    closing is raised with the file's path as its file name, which such
+    an error would otherwise lack."""
     try:
-        with open(fd, "w") as fh:
+        with fh:
             fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+        raise OSError(exc.errno, exc.strerror, fh.name) from None
 
 
 @functools.cache
@@ -158,10 +166,11 @@ def _load(path: Path):
 def cmd_optimize(args) -> int:
     src = _load(args.input)
     flags = RuleFlags(extended=args.extended, swap_relabel=not args.no_swap_relabel)
-    optimized, report = eliminate_dead_gates(src.circuit, flags)
-    _write(args.output, serialize(src.with_circuit(optimized)))
-    if args.report:
-        _write(args.report, report.to_json())
+    with _outputs(*filter(None, (args.output, args.report))) as files:
+        optimized, report = eliminate_dead_gates(src.circuit, flags)
+        _write(files[0], serialize(src.with_circuit(optimized)))
+        if args.report:
+            _write(files[1], report.to_json())
     rules = {}
     for r in report.removed:
         rules[r.rule] = rules.get(r.rule, 0) + 1
@@ -283,16 +292,11 @@ def cmd_bench(args) -> int:
         verify_fraction=args.verify_fraction,
         measure_time=not args.no_timing,
     )
-    # a path that cannot be written is refused before the sweep, not after
-    fd = _open_out(args.out)
-    try:
-        records, csv_text = _resolve("run_bench")(cfg)
-    except BaseException:
-        os.close(fd)
-        raise
-    _write(args.out, csv_text, fd)
     manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
-    _write(manifest_path, _resolve("manifest_json")(cfg, __version__))
+    with _outputs(args.out, manifest_path) as (csv_file, manifest_file):
+        records, csv_text = _resolve("run_bench")(cfg)
+        _write(csv_file, csv_text)
+        _write(manifest_file, _resolve("manifest_json")(cfg, __version__))
     print(f"wrote {len(cfg.widths)} summary rows ({len(records)} runs) to {args.out}")
     return 0
 

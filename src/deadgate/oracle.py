@@ -270,10 +270,12 @@ def check_marginal_equiv(
         # a gap between probabilities is below 1, so a tolerance of 1 or
         # more accepts every pair; a negative or NaN one accepts none
         raise ValueError(f"tol must be finite and in [0, 1), got {tol}")
-    # an int seed, or each int entry of a tuple seed, before numpy reads it
-    entries = seed if isinstance(seed, tuple) else (seed,)
-    if any(isinstance(s, int) and s < 0 for s in entries):
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    # numpy's own reading of every seed drawn below, whose refusal of a
+    # negative entry, at any depth, would name no argument
+    try:
+        np.random.SeedSequence((seed, 0))
+    except ValueError:
+        raise ValueError(f"seed must be non-negative, got {seed}") from None
     if c1.n != c2.n:
         raise CircuitError(f"qubit counts differ: {c1.n} vs {c2.n}")
     n, cap = c1.n, min(cap, _MAX_QUBITS)

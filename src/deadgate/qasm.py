@@ -27,9 +27,8 @@ gates of a parsed circuit may share kind objects, and a statement not
 seen before still reuses the qubit references and angles already read.
 Angles accept float literals and pi expressions (+ - * / parentheses)
 whose every value is finite; serialization emits 17 significant digits
-so doubles round-trip. cz and ccz pick their highest-indexed wire as the
-represented target, which is sound by symmetry and keeps reports
-deterministic.
+so doubles round-trip. The gate names, their wiring and their text are
+those of `circuit.NAMED_GATES`.
 """
 
 from __future__ import annotations
@@ -38,37 +37,21 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-# build_circuit stays a name here: perfbench's tracer wraps qasm.build_circuit
-from .circuit import (  # noqa: F401
+from .circuit import (
     BASE_PARAMS,
+    NAMED_GATES,
     Circuit,
-    CircuitError,
-    Controlled,
     Gate,
     GateKind,
     Opaque,
-    SingleQubit,
-    Swap,
-    build_circuit,
+    dialect_form,
+    named_kind,
 )
+# build_circuit stays a name here: perfbench's tracer wraps qasm.build_circuit
+from .circuit import build_circuit  # noqa: F401
 
 DIALECT_VERSION = "dge-qasm2/1"
 
-# name -> (base, n_qubits); parameter counts come from BASE_PARAMS, and
-# controls/target wiring is handled below
-_STD_GATES = {
-    "h": ("H", 1), "x": ("X", 1), "y": ("Y", 1), "z": ("Z", 1),
-    "s": ("S", 1), "sdg": ("Sdg", 1), "t": ("T", 1), "tdg": ("Tdg", 1),
-    "rx": ("RX", 1), "ry": ("RY", 1), "rz": ("RZ", 1), "u3": ("U3", 1),
-    "cx": ("X", 2), "cy": ("Y", 2), "cz": ("Z", 2),
-    "crz": ("RZ", 2), "ccx": ("X", 3), "ccz": ("Z", 3),
-    "swap": (None, 2),
-}
-# (base, number of controls) -> name of the controlled gate
-_CONTROLLED_NAMES = {
-    (base, nq - 1): name for name, (base, nq) in _STD_GATES.items() if base and nq > 1
-}
-_SYMMETRIC = {"cz", "ccz"}
 _KEYWORDS = {"OPENQASM", "include", "qreg", "creg", "opaque", "measure"}
 # a larger register is refused: every command allocates per declared wire
 MAX_REGISTER = 65536
@@ -313,7 +296,7 @@ class _Parser:
         if not m:
             raise QasmError(lineno, "malformed opaque declaration")
         name = m[1]
-        if name in _STD_GATES:
+        if name in NAMED_GATES:
             raise QasmError(lineno, f"opaque name {name!r} shadows a builtin gate")
         if name in _KEYWORDS:
             raise QasmError(lineno, f"opaque name {name!r} is a reserved word")
@@ -372,10 +355,11 @@ class _Parser:
         if not m:
             raise QasmError(lineno, f"cannot parse statement {stmt!r}")
         name, param_text, arg_text = m[1], m[2], m[3].strip()
-        args = [self.qubit_ref(a, lineno) for a in arg_text.split(",")] if arg_text else []
-        if name in _STD_GATES:
-            base, n_qubits = _STD_GATES[name]
+        args = tuple([self.qubit_ref(a, lineno) for a in arg_text.split(",")]) if arg_text else ()
+        if name in NAMED_GATES:
+            base, controls = NAMED_GATES[name]
             n_params = BASE_PARAMS[base] if base else 0
+            n_qubits = controls + 1
             params = (
                 _parse_angles(param_text, lineno, self.angles) if param_text is not None else ()
             )
@@ -383,14 +367,14 @@ class _Parser:
                 raise QasmError(lineno, f"{name} expects {n_params} parameter(s)")
             if len(args) != n_qubits:
                 raise QasmError(lineno, f"{name} expects {n_qubits} qubit(s)")
-            kind = self.std_kind(name, base, params, args)
+            kind = named_kind(name, args, params)
         elif name in self.opaque_decls:
             if param_text is not None:
                 raise QasmError(lineno, "opaque blocks take no parameters")
             arity = self.opaque_decls[name]
             if len(args) != arity:
                 raise QasmError(lineno, f"{name} expects {arity} qubit(s), got {len(args)}")
-            kind = Opaque(name, tuple(args))
+            kind = Opaque(name, args)
         else:
             raise QasmError(lineno, f"unknown gate {name!r}")
         if len(set(args)) != len(args):
@@ -398,57 +382,18 @@ class _Parser:
         self.kinds[stmt] = kind
         self.gates.append(Gate(len(self.gates), kind))
 
-    def std_kind(
-        self, name: str, base: str | None, params: tuple[float, ...], args: list[int]
-    ) -> GateKind:
-        if name == "swap":
-            return Swap(args[0], args[1])
-        if len(args) == 1:
-            return SingleQubit(base, args[0], params)
-        if name in _SYMMETRIC:
-            target = max(args)
-            controls = tuple(a for a in args if a != target)
-        else:
-            target = args[-1]
-            controls = tuple(args[:-1])
-        return Controlled(base, controls, target, params)
-
 
 def parse(text: str) -> SourceCircuit:
     """Parse dialect source into a circuit plus measurement tables."""
     return _Parser().run(text)
 
 
-def _fmt_angle(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def gate_statement(kind: GateKind, qreg: str) -> str:
     """The dialect statement applying `kind`, without the trailing ';'."""
-    def q(i: int) -> str:
-        return f"{qreg}[{i}]"
-
-    if isinstance(kind, SingleQubit):
-        name = kind.base.lower()
-        params = f"({','.join(_fmt_angle(p) for p in kind.params)})" if kind.params else ""
-        return f"{name}{params} {q(kind.qubit)}"
-    if isinstance(kind, Swap):
-        return f"swap {q(kind.a)},{q(kind.b)}"
-    if isinstance(kind, Opaque):
-        return f"{kind.label} " + ",".join(q(w) for w in kind.wires)
-    assert isinstance(kind, Controlled)
-    nc = len(kind.controls)
-    name = _CONTROLLED_NAMES.get((kind.base, nc))
-    if name is None:
-        raise CircuitError(
-            f"controlled {kind.base} with {nc} control(s) has no dialect statement"
-        )
-    params = f"({','.join(_fmt_angle(p) for p in kind.params)})" if kind.params else ""
-    if name in _SYMMETRIC:
-        wires = sorted(kind.qubits())
-    else:
-        wires = [*kind.controls, kind.target]
-    return f"{name}{params} " + ",".join(q(w) for w in wires)
+    head, wires = dialect_form(kind)
+    if len(wires) == 1:
+        return f"{head} {qreg}[{wires[0]}]"
+    return f"{head} " + ",".join([f"{qreg}[{w}]" for w in wires])
 
 
 def serialize(sc: SourceCircuit) -> str:

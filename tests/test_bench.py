@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,8 +22,9 @@ from deadgate.bench import (
     select_dead,
 )
 from deadgate.eliminate import eliminate_dead_gates
+from deadgate.qasm import parse, serialize
 
-from helpers import eager_random_circuit
+from helpers import eager_random_circuit, source_from_circuit
 
 
 class TestRandomCircuit:
@@ -82,6 +84,23 @@ PALETTES = [("cx",), ("cx", "cz"), ("cx", "cz", "swap")]
 ALL_FLAGS = [
     RuleFlags(extended=e, swap_relabel=r) for e in (False, True) for r in (True, False)
 ]
+
+
+class TestGeneratorAndParserAgree:
+    @pytest.mark.parametrize("palette", [
+        p for k in range(1, 4) for p in itertools.combinations(DEFAULT_PALETTE, k)
+    ], ids=",".join)
+    def test_drawn_circuits_read_back_as_drawn(self, palette):
+        """Every drawn gate, written out, parses back to the kind drawn."""
+        for w in (2, 3, 7, 20):
+            c = random_circuit(w, 30 * w, 0.1, seed=(84, w), palette=palette)
+            back = parse(serialize(source_from_circuit(c))).circuit
+            assert [g.kind for g in back.gates] == [g.kind for g in c.gates]
+        # cz drawn with its first wire above its second is among them
+        if "cz" in palette:
+            draws = c.gates._draws
+            two = ~draws.is_1q & (np.asarray(palette)[draws.pal_idx] == "cz")
+            assert (draws.a[two] > draws.b[two]).any()
 
 
 class TestLazyMatchesEager:

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from deadgate import (
     Swap,
     build_circuit,
 )
+from deadgate.circuit import BASE_PARAMS, NAMED_GATES, dialect_form, named_kind
 
 from sweep_reference import frontier, gate, last_gate_on_wire, remove_gate
 
@@ -194,3 +196,36 @@ class TestLastGateOnWire:
         for q in range(3):
             touching = [g.id for g in c.gates if q in g.qubits]
             assert touching == sorted(touching)
+
+
+# the gates whose wires are interchangeable, written here apart from the table
+SYMMETRIC = {"cz", "ccz"}
+
+
+class TestNamedGates:
+    """`named_kind` and its inverse `dialect_form` over the whole table."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GATES))
+    def test_every_wire_order_round_trips(self, name):
+        base, controls = NAMED_GATES[name]
+        params = tuple(0.25 * (i + 1) for i in range(BASE_PARAMS[base] if base else 0))
+        head = name + (f"({','.join(f'{p:.17g}' for p in params)})" if params else "")
+        for wires in itertools.permutations((5, 2, 9)[: controls + 1]):
+            kind = named_kind(name, wires, params)
+            assert kind.qubits() == (
+                (*[w for w in wires if w != max(wires)], max(wires))
+                if name in SYMMETRIC else wires
+            )
+            written = tuple(sorted(wires)) if name in SYMMETRIC else wires
+            assert dialect_form(kind) == (head, written)
+            # the written wires read back in the same order: a second
+            # write gives the same text
+            assert named_kind(name, written, params).qubits() == dialect_form(kind)[1]
+
+    def test_ccz_read_out_of_order(self):
+        kind = named_kind("ccz", (2, 0, 1))
+        assert kind == Controlled("Z", (0, 1), 2)
+        assert dialect_form(kind) == ("ccz", (0, 1, 2))
+        kind = named_kind("ccz", (1, 2, 0))
+        assert kind == Controlled("Z", (1, 0), 2)
+        assert dialect_form(kind) == ("ccz", (0, 1, 2))

@@ -474,6 +474,19 @@ class TestBench:
         assert main(["bench", "--programs", "200", "--blocks", "10", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
 
+    def test_manifest_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_bench", sweep)
+        out = tmp_path / "x.csv"
+        manifest = tmp_path / "x.csv.manifest.json"
+        manifest.mkdir()
+        assert main(["bench", "--programs", "200", "--blocks", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"{manifest}: Is a directory\n")
+        # a new path may be left empty, never half written
+        assert out.read_bytes() == b""
+
     def test_pct_mode_row(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([
@@ -540,6 +553,11 @@ class TestWritePath:
         # a full device fails the write or the close, not the open
         src = write(tmp_path, "in.qasm", fixtures.cnot_source())
         out, full = str(tmp_path / "out"), "/dev/full"
+        if command == "bench":
+            # the manifest path is opened before the sweep: a link keeps it
+            # out of /dev, and the error names the path as given
+            full = str(tmp_path / "full.csv")
+            os.symlink("/dev/full", full)
         argv = {
             "optimize": ["optimize", str(src), full],
             "report": ["optimize", str(src), out, "--report", full],
@@ -554,6 +572,21 @@ class TestWritePath:
         out.mkdir()
         assert self.optimize(tmp_path, fixtures.cnot_source(), out, tmp_path / "r") == 2
         assert capsys.readouterr().err.startswith(f"{out}: ")
+
+    def test_directory_report_refused_before_the_pass(self, tmp_path, capsys, monkeypatch):
+        def pass_(*args):
+            raise AssertionError("the pass ran")
+
+        monkeypatch.setattr(cli, "eliminate_dead_gates", pass_)
+        report = tmp_path / "rep"
+        report.mkdir()
+        old, fresh = write(tmp_path, "old.qasm", "old text"), tmp_path / "fresh.qasm"
+        for out in (old, fresh):
+            assert self.optimize(tmp_path, fixtures.cnot_source(), out, report) == 2
+            assert capsys.readouterr() == ("", f"{report}: Is a directory\n")
+        # OUT receives no bytes: an existing file keeps its text, a new one is empty
+        assert old.read_text() == "old text"
+        assert fresh.read_bytes() == b""
 
 
 def run_python(*args):

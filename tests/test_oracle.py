@@ -316,6 +316,10 @@ class TestCheckEquiv:
         # each entry of a tuple seed, not numpy's unnamed refusal
         ({"cap": 13, "seed": (-1, 2)}, "seed must be non-negative, got (-1, 2)"),
         ({"cap": 13, "seed": (1, -2)}, "seed must be non-negative, got (1, -2)"),
+        # a numpy integer, a list and a nested entry, as numpy reads them
+        ({"cap": 13, "seed": np.int64(-1)}, "seed must be non-negative, got -1"),
+        ({"cap": 13, "seed": [-1, 2]}, "seed must be non-negative, got [-1, 2]"),
+        ({"cap": 13, "seed": ((-1, 2), 3)}, "seed must be non-negative, got ((-1, 2), 3)"),
     ])
     def test_refuses_before_binding(self, monkeypatch, kwargs, message):
         def unbounded(dim, rng):
