@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -202,14 +202,6 @@ class DrawnGates:
             return NotImplemented
         return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
-    def shared_start(self, other) -> int:
-        """How many leading gates `other` shares with this sequence by
-        construction, without reading them: views on the same draws share
-        their drawn gates, and no drawn gate is an opaque block."""
-        if isinstance(other, DrawnGates) and other._draws is self._draws:
-            return min(self._stop, other._stop)
-        return 0
-
 
 def random_circuit(
     w: int,
@@ -255,8 +247,14 @@ def select_dead(w: int, mode: DeadMode, seed) -> frozenset[int]:
 def _spot_verify(original: Circuit, optimized: Circuit, seed) -> None:
     valid = [q for q in range(original.n) if q not in original.dead]
     mapped = [optimized.outcome_map[q] for q in valid]
-    # generated circuits hold no opaque blocks, so there is nothing to bind
-    verdict = check_marginal_equiv(original, optimized, valid, mapped, seed=seed, bindings={})
+    # the pass keeps the gates before its walk as a view on the same
+    # draws, so only the walked tails can differ
+    start = optimized.gates._stop
+    verdict = check_marginal_equiv(
+        replace(original, gates=tuple(original.gates[start:])),
+        replace(optimized, gates=tuple(optimized.gates[start:])),
+        valid, mapped, seed=seed,
+    )
     if not verdict.equivalent:
         raise AssertionError(
             f"spot verification failed: discrepancy {verdict.max_discrepancy:.3e} "

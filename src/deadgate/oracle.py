@@ -6,12 +6,12 @@ outcome probabilities over two wire lists, entry by entry. The callers
 build the lists: kept wires for a plain comparison, kept wires read
 through an outcome map or a dead-wire pairing for a relabeled one. It
 checks its own arguments and refuses sizes above fixed ceilings, judged
-on the circuits' full width. It simulates only the gates after the
-prefix the two circuits share, on only the wires those gates touch or
-the two lists read differently (see its docstring for why that decides
-the same question). Bit convention throughout: qubit q0 is the most
-significant bit of a basis index, so for n=2 the amplitudes are ordered
-|00>,|01>,|10>,|11> with q0's bit first.
+on the circuits' full width, and a caller's opaque bindings once. On any
+gate sequences, it simulates only the gates after the prefix they share
+by kind, on only the wires those gates touch or the two lists read
+differently (its docstring says why that decides the same question).
+Bit convention throughout: qubit q0 is the most significant bit of a
+basis index, so for n=2 the amplitudes are |00>,|01>,|10>,|11> in order.
 
 Equivalence checking samples random input states. A differing pair of
 circuits is witnessed by a random state almost surely, but the check is
@@ -107,28 +107,55 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _opaque_dims(circuits: Sequence[Circuit]) -> dict[str, int]:
+    """Matrix dimension of each opaque label in the circuits, whose arity
+    must agree wherever the label is used."""
+    dims: dict[str, int] = {}
+    for c in circuits:
+        for g in c.gates:
+            if isinstance(g.kind, Opaque):
+                label, dim = g.kind.label, 2 ** len(g.kind.wires)
+                if dims.setdefault(label, dim) != dim:
+                    raise CircuitError(
+                        f"opaque label {label!r} used with inconsistent arity"
+                    )
+    return dims
+
+
 def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
     """Haar-random unitary per opaque label across the given circuits.
 
     Labels are bound in sorted order so the table is deterministic per
     seed; a label shared between circuits must agree on arity, and all
     bindings together (16 bytes per entry) may take at most 512 MiB.
+    Label i draws from (seed, i, 1): numpy reads (seed, i) as the same
+    entropy as the input state of sample i, seeded (seed, i).
     """
-    arities: dict[str, int] = {}
-    for c in circuits:
-        for g in c.gates:
-            if isinstance(g.kind, Opaque):
-                label, arity = g.kind.label, len(g.kind.wires)
-                if arities.setdefault(label, arity) != arity:
-                    raise CircuitError(
-                        f"opaque label {label!r} used with inconsistent arity"
-                    )
-    if (size := 16 * sum(4**k for k in arities.values())) > _MAX_BINDING_BYTES:
+    dims = _opaque_dims(circuits)
+    if (size := 16 * sum(d * d for d in dims.values())) > _MAX_BINDING_BYTES:
         raise CircuitError(f"opaque bindings need {-(-size >> 20)} MiB, above 512 MiB")
     return {
-        label: haar_unitary(2 ** arities[label], np.random.default_rng([seed, i]))
-        for i, label in enumerate(sorted(arities))
+        label: haar_unitary(dims[label], np.random.default_rng([seed, i, 1]))
+        for i, label in enumerate(sorted(dims))
     }
+
+
+def _checked_bindings(
+    circuits: Sequence[Circuit], bindings: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Each opaque label's binding as a complex array, checked once: of its
+    block's shape, and unitary, at one dim x dim product (a Haar draw's QR)."""
+    checked = {}
+    for label, dim in _opaque_dims(circuits).items():
+        if label not in bindings:
+            raise CircuitError(f"opaque block {label!r} has no bound unitary")
+        u = np.asarray(bindings[label], dtype=complex)
+        if u.shape != (dim, dim):
+            raise CircuitError(f"binding for {label!r} has shape {u.shape}, expected {(dim, dim)}")
+        if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-9:  # NaN fails too
+            raise CircuitError(f"binding for {label!r} is not unitary")
+        checked[label] = u
+    return checked
 
 
 def _controlled_matrix(kind: Controlled) -> np.ndarray:
@@ -146,23 +173,14 @@ _SWAP = np.array(
 
 
 def _unitary(kind: GateKind, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The gate's matrix; an opaque block's is its binding, checked."""
+    """The gate's matrix; an opaque block's is its binding."""
     if isinstance(kind, SingleQubit):
         return base_matrix(kind.base, kind.params)
     if isinstance(kind, Controlled):
         return _controlled_matrix(kind)
     if isinstance(kind, Swap):
         return _SWAP
-    assert isinstance(kind, Opaque)
-    if kind.label not in bindings:
-        raise CircuitError(f"opaque block {kind.label!r} has no bound unitary")
-    u = np.asarray(bindings[kind.label], dtype=complex)
-    dim = 2 ** len(kind.wires)
-    if u.shape != (dim, dim):
-        raise CircuitError(
-            f"binding for {kind.label!r} has shape {u.shape}, expected {(dim, dim)}"
-        )
-    return u
+    return bindings[kind.label]
 
 
 def _compile(
@@ -192,42 +210,25 @@ def _run(ops: list[tuple[np.ndarray, tuple[int, ...]]], state: np.ndarray) -> np
     return state
 
 
-def _marginal(amps: np.ndarray, n: int, wires: tuple[int, ...]) -> np.ndarray:
-    """Probabilities over the listed wires, in the listed order.
-
-    `amps` has shape (2**n,), or (2**n, batch) for one state per column.
-    Entry i (row i) is the probability of the outcome bitstring
-    format(i, f"0{m}b") for m listed wires; the first listed wire is its
-    most significant bit.
-    """
-    batch = amps.shape[1:]
-    p = (np.abs(amps) ** 2).reshape((2,) * n + batch)
-    drop = tuple(ax for ax in range(n) if ax not in wires)
-    t = p.sum(axis=drop) if drop else p
-    if wires:
-        kept = sorted(wires)
-        t = t.transpose([kept.index(q) for q in wires] + list(range(len(wires), t.ndim)))
-    return t.reshape((-1,) + batch)
+def _marginal(state: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Probabilities over the listed axes of a (2,)*w + (batch,) state, one
+    row per sample: entry k is that of the outcome format(k, f"0{m}b") over
+    the m listed axes, the first listed axis its most significant bit."""
+    # squared from a C-ordered copy, so that each sum below adds its terms
+    # in one fixed order, whatever layout the last gate left
+    p = np.abs(np.ascontiguousarray(state)) ** 2
+    t = p.sum(axis=tuple(ax for ax in range(p.ndim - 1) if ax not in axes))
+    kept = sorted(axes)
+    t = t.transpose([len(axes)] + [kept.index(q) for q in axes])
+    return t.reshape(t.shape[0], -1)
 
 
-def _common_prefix(
-    gates1: Sequence[Gate], gates2: Sequence[Gate], bindings: Mapping[str, np.ndarray]
-) -> int:
-    """Number of leading gates the two lists share, compared by kind.
-
-    Each opaque block among them must still have a binding of its shape.
-    A list may say how many leading gates it shares with another by
-    construction (`bench.DrawnGates.shared_start`, never opaque blocks);
-    those gates are not read.
-    """
-    shared_start = getattr(gates1, "shared_start", None)
-    common = shared_start(gates2) if shared_start is not None else 0
-    for i in range(common, min(len(gates1), len(gates2))):
-        kind = gates1[i].kind
-        if kind != gates2[i].kind:
+def _common_prefix(gates1: Sequence[Gate], gates2: Sequence[Gate]) -> int:
+    """Number of leading gates the two sequences share, compared by kind."""
+    common = 0
+    for g1, g2 in zip(gates1, gates2):
+        if g1.kind != g2.kind:
             break
-        if isinstance(kind, Opaque):
-            _unitary(kind, bindings)
         common += 1
     return common
 
@@ -248,20 +249,22 @@ def check_marginal_equiv(
     Entry k of wires1 is compared with entry k of wires2, so a caller
     lists kept wires ascending for a plain comparison, or reads the
     second circuit through an outcome map or a dead-wire pairing. With
-    no `bindings`, opaque blocks are bound from `seed` after the checks.
+    no `bindings`, opaque blocks are bound from `seed` after the checks;
+    given ones must each be a unitary of its block's shape, checked once.
     The verdict carries the worst probability gap seen over `samples`
     random input states, each seeded by (seed, sample index).
 
-    Only what differs is simulated. The gates the two lists share at
-    their start (`_common_prefix`) are skipped, since a Haar-random state
-    stays Haar-random under any unitary. S is the set of wires the
-    remaining gates of either list touch, plus both wires of every
-    position k with wires1[k] != wires2[k]. The states are drawn on S
-    alone, ordered ascending, and positions whose wire lies outside S
-    are not compared: such a wire is untouched by both remainders, so
-    measuring it first commutes with them, and the marginals agree on
-    every input exactly when they agree on every state on S. The witness
-    outcome has one character per position, `x` for one outside S.
+    The gates may be any sequences. Only what differs is simulated. The
+    gates the two lists share at their start, compared by kind
+    (`_common_prefix`), are skipped, since a Haar-random state stays
+    Haar-random under any unitary. S is the set of wires the remaining
+    gates of either list touch, plus both wires of every position k with
+    wires1[k] != wires2[k]. The states are drawn on S alone, ordered
+    ascending, and positions whose wire lies outside S are not compared:
+    such a wire is untouched by both remainders, so measuring it first
+    commutes with them, and the marginals agree on every input exactly
+    when they agree on every state on S. The witness outcome has one
+    character per position, `x` for one outside S.
     """
     if samples < 1:
         # with no sample there is no evidence of equivalence
@@ -292,7 +295,9 @@ def check_marginal_equiv(
                 raise CircuitError(f"qubit q[{q}] out of range")
     if bindings is None:
         bindings = bind_opaques((c1, c2), seed)
-    common = _common_prefix(c1.gates, c2.gates, bindings)
+    else:
+        bindings = _checked_bindings((c1, c2), bindings)
+    common = _common_prefix(c1.gates, c2.gates)
     rest1, rest2 = c1.gates[common:], c2.gates[common:]
     touched = {q for g in (*rest1, *rest2) for q in g.qubits}
     touched.update(q for a, b in zip(wires1, wires2) if a != b for q in (a, b))
@@ -309,17 +314,12 @@ def check_marginal_equiv(
         ids = range(first, min(first + batch, samples))
         amps = np.stack([random_state(width, seed=(seed, i), cap=cap) for i in ids], axis=-1)
         state = amps.reshape((2,) * width + (len(ids),))
-        p1 = _marginal(_run(ops1, state).reshape(2**width, -1), width, read1)
-        p2 = _marginal(_run(ops2, state).reshape(2**width, -1), width, read2)
-        gaps = np.abs(p1 - p2)
-        # per sample, the first outcome with the largest gap; across
-        # samples, the first sample with the largest gap
-        outcomes = gaps.argmax(axis=0)
-        for j, i in enumerate(ids):
-            k = int(outcomes[j])
-            if gaps[k, j] > worst:
-                worst = float(gaps[k, j])
-                witness = ((seed, i), k)
+        gaps = np.abs(_marginal(_run(ops1, state), read1) - _marginal(_run(ops2, state), read2))
+        # the first sample with the largest gap, then its first outcome with it
+        j, k = divmod(int(gaps.argmax()), gaps.shape[1])
+        if gaps[j, k] > worst:
+            worst = float(gaps[j, k])
+            witness = ((seed, first + j), k)
     if worst <= tol:
         return EquivalenceVerdict(True, worst)
     sample, k = witness

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
-from deadgate import Circuit, Controlled, RuleFlags, SingleQubit, Swap, build_circuit
+from deadgate import (
+    Circuit, Controlled, RuleFlags, SingleQubit, Swap, build_circuit, check_marginal_equiv,
+)
 from deadgate import bench
 from deadgate.bench import (
     DEFAULT_PALETTE,
@@ -145,16 +147,7 @@ class TestLazyMatchesEager:
         monkeypatch.setattr(bench, "Gate", spy)
         _, report = eliminate_dead_gates(c)
         monkeypatch.undo()
-        # the walk goes back until every wire carries a gate it keeps
-        removed = {r.id for r in report.removed}
-        blocked: set[int] = set()
-        walked = 0
-        for g in reversed(tuple(c.gates)):
-            if len(blocked) == 40:
-                break
-            walked += 1
-            if g.id not in removed:
-                blocked.update(g.qubits)
+        walked = walked_count(c, report)
         assert 0 < walked < 200
         # each walked gate is built once, by the walk, and no gate before
         # the walked tail is built at all
@@ -166,8 +159,8 @@ class TestLazyMatchesEager:
         c = random_circuit(10, 1000, 0.1, seed=(7, 10, 0, 0, 1))
         dead = select_dead(10, DeadMode("pct", 20), seed=(7, 10, 0, 0, 2))
         c = Circuit(10, c.gates, dead, c.outcome_map)
-        optimized, _ = eliminate_dead_gates(c)
-        shared = c.gates.shared_start(optimized.gates)
+        optimized, report = eliminate_dead_gates(c)
+        start = len(c.gates) - walked_count(c, report)
         drawn = []
 
         def spy(draws, i):
@@ -177,11 +170,59 @@ class TestLazyMatchesEager:
         real_kind = bench._Draws.kind
         monkeypatch.setattr(bench._Draws, "kind", spy)
         bench._spot_verify(c, optimized, seed=(7, 10, 0, 0, 3))
-        # the oracle draws no gate before the start the two lists share by
-        # construction, and each one after it at most twice: to compare it
-        # and to simulate it
-        assert drawn and min(drawn) >= shared > 900
+        # no gate before the walk's start is drawn, since the pass keeps
+        # those as the same draws, and each one after it at most twice
+        assert drawn and min(drawn) >= start > 900
         assert max(Counter(drawn).values()) <= 2
+
+
+def walked_count(c: Circuit, report) -> int:
+    """How many gates the pass walks back from the end: until every wire
+    carries a gate it keeps."""
+    removed = {r.id for r in report.removed}
+    blocked: set[int] = set()
+    walked = 0
+    for g in reversed(tuple(c.gates)):
+        if len(blocked) == c.n:
+            break
+        walked += 1
+        if g.id not in removed:
+            blocked.update(g.qubits)
+    return walked
+
+
+class TestSpotVerifyTails:
+    """`_spot_verify` hands the oracle only the walked tails, and its
+    verdict is the oracle's on the whole circuits."""
+
+    @pytest.mark.parametrize("mode", ["fixed:1", "pct:10", "pct:20"])
+    def test_tail_verdict_matches_whole_circuits(self, monkeypatch, mode):
+        calls = []
+        oracle_check = bench.check_marginal_equiv
+
+        def spy(c1, c2, *args, **kwargs):
+            verdict = oracle_check(c1, c2, *args, **kwargs)
+            calls.append((c1.gates, c2.gates, verdict))
+            return verdict
+
+        monkeypatch.setattr(bench, "check_marginal_equiv", spy)
+        for w in range(2, 11):
+            for block in range(3):
+                root = (3, w, 0, block)
+                c = random_circuit(w, 100 * w, 0.1, seed=(*root, 1))
+                dead = select_dead(w, DeadMode.parse(mode), seed=(*root, 2))
+                c = Circuit(w, c.gates, dead, c.outcome_map)
+                optimized, report = eliminate_dead_gates(c)
+                bench._spot_verify(c, optimized, (*root, 3))
+                tail1, tail2, verdict = calls.pop()
+                walked = walked_count(c, report)
+                assert type(tail1) is tuple and type(tail2) is tuple
+                assert tail1 == tuple(c.gates)[len(c.gates) - walked:]
+                assert tail2 == tuple(optimized.gates)[len(c.gates) - walked:]
+                valid = [q for q in range(w) if q not in dead]
+                mapped = [optimized.outcome_map[q] for q in valid]
+                whole = check_marginal_equiv(c, optimized, valid, mapped, seed=(*root, 3))
+                assert verdict == whole
 
 
 class TestDrawnGates:
@@ -235,15 +276,6 @@ class TestDrawnGates:
         assert lazy[:20] + () == eager[:20]
         with pytest.raises(TypeError):
             lazy + list(eager)
-
-    def test_shared_start(self, pair):
-        lazy, eager = pair
-        joined = lazy[:20] + eager[30:]
-        assert lazy.shared_start(joined) == joined.shared_start(lazy) == 20
-        assert lazy.shared_start(lazy[:50]) == 50
-        # a tuple, or a view on other draws, shares nothing by construction
-        assert lazy.shared_start(eager) == 0
-        assert lazy.shared_start(random_circuit(5, 50, 0.3, seed=84).gates) == 0
 
     def test_equality_with_tuples_both_ways(self, pair):
         lazy, eager = pair

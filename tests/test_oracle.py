@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 from pathlib import Path
@@ -33,6 +34,7 @@ from helpers import (
     FIXTURE_SOURCES,
     basis_state,
     kept_wires,
+    marginal,
     paired_wires,
     reduced_pair,
     reference_marginal_equiv,
@@ -110,24 +112,29 @@ class TestSimulate:
         assert np.allclose(out, full @ sv)
 
 
+def state_marginal(amps, n, axes) -> np.ndarray:
+    """`_marginal` of one state of 2**n amplitudes, as a (2,)*n + (1,) tensor."""
+    return _marginal(np.asarray(amps).reshape((2,) * n + (1,)), tuple(axes))[0]
+
+
 class TestMarginal:
     def setup_method(self):
         a = np.array([0.1, 0.2, 0.3, 0.4])
         self.phi = a / np.linalg.norm(a)
 
     def test_two_qubit_values(self):
-        m = _marginal(self.phi, 2, (0, 1))
+        m = state_marginal(self.phi, 2, (0, 1))
         assert m[outcome("01")] == pytest.approx(abs(self.phi[1]) ** 2)
         assert m[outcome("10")] == pytest.approx(abs(self.phi[2]) ** 2)
         assert m[outcome("00")] == pytest.approx(abs(self.phi[0]) ** 2)
 
     def test_single_qubit_sums_partner(self):
-        m = _marginal(self.phi, 2, (0,))
+        m = state_marginal(self.phi, 2, (0,))
         expect = abs(self.phi[2]) ** 2 + abs(self.phi[3]) ** 2
         assert m[outcome("1")] == pytest.approx(expect)
 
     def test_empty_subset(self):
-        m = _marginal(self.phi, 2, ())
+        m = state_marginal(self.phi, 2, ())
         assert m.tolist() == [pytest.approx(1.0)]
 
     def test_duplicate_rejected(self):
@@ -140,22 +147,23 @@ class TestMarginal:
             check_marginal_equiv(c, c, [0, 2], [0, 1])
 
     def test_matches_brute_force_any_order(self):
+        # a batch of three states: one row per state, in batch order
         rng = np.random.default_rng(7)
         for i in range(20):
             n = int(rng.integers(1, 6))
-            amps = random_state(n, seed=(7, i))
+            states = [random_state(n, seed=(7, i, j)) for j in range(3)]
             k = int(rng.integers(0, n + 1))
             qubits = tuple(int(q) for q in rng.permutation(n)[:k])
-            got = _marginal(amps, n, qubits)
-            want = brute_marginal(amps, n, qubits)
-            assert got.size == 2**k
-            for key, p in want.items():
-                assert got[outcome(key)] == pytest.approx(p, abs=1e-12)
+            got = _marginal(np.stack(states, axis=-1).reshape((2,) * n + (3,)), qubits)
+            assert got.shape == (3, 2**k)
+            for row, amps in zip(got, states):
+                for key, p in brute_marginal(amps, n, qubits).items():
+                    assert row[outcome(key)] == pytest.approx(p, abs=1e-12)
 
     def test_coarse_graining(self):
         amps = random_state(4, seed=99)
-        fine = _marginal(amps, 4, (0, 2, 3))
-        coarse = _marginal(amps, 4, (0, 3))
+        fine = state_marginal(amps, 4, (0, 2, 3))
+        coarse = state_marginal(amps, 4, (0, 3))
         for i, p in enumerate(coarse):
             key = format(i, "02b")
             total = sum(fine[outcome(key[0] + mid + key[1])] for mid in "01")
@@ -163,7 +171,7 @@ class TestMarginal:
 
     def test_distribution_normalized(self):
         amps = random_state(5, seed=123)
-        assert _marginal(amps, 5, (1, 3)).sum() == pytest.approx(1.0, abs=1e-9)
+        assert state_marginal(amps, 5, (1, 3)).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRandomState:
@@ -234,6 +242,29 @@ class TestBindOpaques:
         c = build_circuit(12, [Opaque("A", tuple(range(12))), Opaque("B", tuple(range(12)))])
         assert bind_opaques([c], seed=1) == {"A": 4096, "B": 4096}
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40, (3, 10, 0, 0, 3)], ids=str)
+    def test_bindings_drawn_apart_from_the_states(self, monkeypatch, seed):
+        # numpy reads (seed, 0) and [seed, 0] as the same entropy: label 0's
+        # binding must not repeat the draws of sample 0's input state
+        first_draws = []
+        haar, state = oracle.haar_unitary, oracle.random_state
+
+        def spy_haar(dim, rng):
+            first_draws.append(copy.deepcopy(rng).standard_normal(8))
+            return haar(dim, rng)
+
+        def spy_state(n, seed, cap):
+            first_draws.append(np.random.default_rng(seed).standard_normal(8))
+            return state(n, seed, cap)
+
+        monkeypatch.setattr(oracle, "haar_unitary", spy_haar)
+        monkeypatch.setattr(oracle, "random_state", spy_state)
+        c1 = build_circuit(1, [Opaque("U", (0,)), SingleQubit("H", 0)])
+        c2 = build_circuit(1, [Opaque("U", (0,)), SingleQubit("X", 0)])
+        check_marginal_equiv(c1, c2, [0], [0], samples=1, seed=seed)
+        binding, sample = first_draws
+        assert not np.isclose(binding, sample).any()
+
 
 def check_kept(c1, c2, **kwargs):
     """c1 and c2 compared on c1's kept wires."""
@@ -254,8 +285,8 @@ class TestCheckEquiv:
         assert not verdict.equivalent
         assert verdict.witness is not None
         # the deterministic witness: |10> maps to q1-marginals 1 vs 0
-        out1 = _marginal(simulate(c1, basis_state("10")), 2, (1,))
-        out2 = _marginal(simulate(c2, basis_state("10")), 2, (1,))
+        out1 = marginal(simulate(c1, basis_state("10")), 2, (1,))
+        out2 = marginal(simulate(c2, basis_state("10")), 2, (1,))
         assert out1[outcome("1")] == pytest.approx(1.0)
         assert out2[outcome("1")] == pytest.approx(0.0)
 
@@ -297,6 +328,27 @@ class TestCheckEquiv:
         wide = build_circuit(21, [])
         with pytest.raises(CircuitError, match=r"^21 qubits exceeds the cap of 20$"):
             check_marginal_equiv(wide, wide, [], [], cap=40)
+
+    H_U_VS_X_U = (
+        build_circuit(1, [SingleQubit("H", 0), Opaque("U", (0,))]),
+        build_circuit(1, [SingleQubit("X", 0), Opaque("U", (0,))]),
+    )
+
+    @pytest.mark.parametrize("u", [
+        np.zeros((2, 2)), np.full((2, 2), np.nan), 2 * np.eye(2),
+        np.eye(2) + 1e-8,
+    ], ids=["zeros", "nan", "twice_identity", "off_by_1e-8"])
+    def test_non_unitary_binding_refused(self, u):
+        # a zero or NaN binding would make every marginal equal (or NaN)
+        # and read as equivalence with no evidence
+        with pytest.raises(CircuitError, match=r"^binding for 'U' is not unitary$"):
+            check_marginal_equiv(*self.H_U_VS_X_U, [0], [0], bindings={"U": u})
+
+    def test_unitary_bindings_accepted(self):
+        haar = haar_unitary(2, np.random.default_rng(8))
+        for u in (haar, np.eye(2), [[0, 1], [1, 0]]):
+            got = check_marginal_equiv(*self.H_U_VS_X_U, [0], [0], bindings={"U": u})
+            assert not got.equivalent
 
     def test_binds_opaques_from_seed_when_given_none(self):
         c1 = build_circuit(2, [Opaque("U", (0, 1)), Opaque("V", (1,))])
@@ -477,8 +529,8 @@ def oracle_pairs(draw):
 def outcome_gaps(c1, c2, wires1, wires2, sample, bindings=None) -> np.ndarray:
     """Per-outcome gaps of one seeded sample, each circuit simulated whole."""
     amps = random_state(c1.n, seed=sample)
-    p1 = _marginal(simulate(c1, amps, bindings), c1.n, tuple(wires1))
-    p2 = _marginal(simulate(c2, amps, bindings), c2.n, tuple(wires2))
+    p1 = marginal(simulate(c1, amps, bindings), c1.n, wires1)
+    p2 = marginal(simulate(c2, amps, bindings), c2.n, wires2)
     return np.abs(p1 - p2)
 
 
@@ -661,7 +713,7 @@ class TestBatchedOracle:
         original = build_circuit(2, [u, cu, w], dead={0})
         removed = build_circuit(2, [u, w], dead={0})
         bindings = bind_opaques([original], seed=92)
-        assert oracle._common_prefix(original.gates, removed.gates, bindings) == 1
+        assert oracle._common_prefix(original.gates, removed.gates) == 1
         got, _, whole = assert_matches_reference(
             original, removed, [1], [1], samples=20, seed=93, bindings=bindings
         )
@@ -674,7 +726,7 @@ class TestBatchedOracle:
     def test_no_common_prefix(self):
         c1 = build_circuit(2, [SingleQubit("X", 1), SingleQubit("H", 0)], dead={1})
         c2 = build_circuit(2, [SingleQubit("H", 0)], dead={1})
-        assert oracle._common_prefix(c1.gates, c2.gates, {}) == 0
+        assert oracle._common_prefix(c1.gates, c2.gates) == 0
         got, _, _ = assert_matches_reference(c1, c2, [0], [0], samples=5, seed=4)
         assert got.equivalent
         got, _, _ = assert_matches_reference(c1, c2, [1], [1], samples=5, seed=4)
@@ -688,7 +740,7 @@ class TestBatchedOracle:
         longer = build_circuit(2, head + [tail], dead={1})
         shorter = build_circuit(2, head, dead={1})
         for c1, c2 in ((longer, shorter), (shorter, longer)):
-            assert oracle._common_prefix(c1.gates, c2.gates, {}) == len(head)
+            assert oracle._common_prefix(c1.gates, c2.gates) == len(head)
             got, _, whole = assert_matches_reference(c1, c2, [0], [0], samples=7, seed=2)
             assert got.equivalent == whole.equivalent == equivalent
         same = check_kept(longer, longer, samples=7, seed=2)
@@ -718,7 +770,7 @@ class TestBatchedOracle:
         # random state tells q0 from q1, and a third wire is not compared
         c = build_circuit(n, [SingleQubit("H", 0), Controlled("X", (0,), n - 1)])
         wires1, wires2 = list(range(n)), [1, 0] + list(range(2, n))
-        assert oracle._common_prefix(c.gates, c.gates, {}) == 2
+        assert oracle._common_prefix(c.gates, c.gates) == 2
         got, _, whole = assert_matches_reference(c, c, wires1, wires2, samples=5, seed=1)
         assert not got.equivalent and not whole.equivalent
         assert re.fullmatch("[01][01]" + "x" * (n - 2), got.witness[1])
