@@ -1,10 +1,11 @@
 """Random-circuit benchmark harness.
 
 Generates hybrid programs of `blocks` Clifford+T random circuits per
-program, runs the elimination pass on every block, and aggregates gate
-reduction and wall time per circuit width into a CSV. Classical segments
-of a hybrid program are modeled only by the dead set they induce on the
-following block.
+program, runs the elimination pass on every block, and sums gate
+reduction and wall time per circuit width as it goes: a sweep's memory
+grows with its widths, not its blocks. The CSV holds the per-width
+means. Classical segments of a hybrid program are modeled only by the
+dead set they induce on the following block.
 
 Determinism: all randomness derives from (seed, width, program, block),
 never from the dead mode, so percentage modes share base circuits and the
@@ -27,7 +28,7 @@ from .circuit import Circuit, Gate, GateKind, SingleQubit, named_kind
 
 # build_circuit stays a name here: perfbench's tracer wraps bench.build_circuit
 from .circuit import build_circuit  # noqa: F401
-from .defaults import MAX_CIRCUIT_GATES, MAX_SWEEP_BLOCKS
+from .defaults import MAX_CIRCUIT_GATES
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
 
@@ -92,9 +93,6 @@ class BenchConfig:
             raise ValueError("gate multiplier, blocks and programs must be >= 1")
         if (gates := self.gate_multiplier * max(self.widths)) > MAX_CIRCUIT_GATES:
             raise ValueError(f"{gates} gates per circuit exceeds {MAX_CIRCUIT_GATES}")
-        # run_bench keeps one record per block until the CSV is written
-        if (total := len(self.widths) * self.programs * self.blocks) > MAX_SWEEP_BLOCKS:
-            raise ValueError(f"{total} blocks per sweep exceeds {MAX_SWEEP_BLOCKS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for w in self.widths:
@@ -112,18 +110,6 @@ class BenchConfig:
             raise ValueError(
                 f"verify fraction must be in [0, 1] with a finite 1/fraction, got {f}"
             )
-
-
-@dataclass(slots=True)
-class BenchRecord:
-    width: int
-    dead_mode: str
-    program: int
-    block: int
-    dead_count: int
-    gates_before: int
-    gates_removed: int
-    elapsed_micros: float
 
 
 class _Draws(NamedTuple):
@@ -262,14 +248,17 @@ def _spot_verify(original: Circuit, optimized: Circuit, seed) -> None:
         )
 
 
-def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], str]:
-    """All per-block records plus the summary CSV text."""
-    records: list[BenchRecord] = []
+def run_bench(cfg: BenchConfig) -> tuple[list[tuple[int, int, float]], str]:
+    """`(width, gates_removed, micros)` for each entry of `cfg.widths`, in
+    order, plus the summary CSV text. `gates_removed` and `micros` (pass
+    wall time, 0.0 without `measure_time`) are summed over the width's
+    `programs * blocks` blocks in block order."""
+    totals = []
     verify_every = int(round(1 / cfg.verify_fraction)) if cfg.verify_fraction > 0 else 0
     candidates = 0
-    dead_mode = str(cfg.dead_mode)  # one string shared by every record
     for width in cfg.widths:
         gates = cfg.gate_multiplier * width
+        removed, micros = 0, 0.0
         for program in range(cfg.programs):
             for block in range(cfg.blocks):
                 root = (cfg.seed, width, program, block)
@@ -286,29 +275,20 @@ def run_bench(cfg: BenchConfig) -> tuple[list[BenchRecord], str]:
                     candidates += 1
                     if candidates % verify_every == 0:
                         _spot_verify(circuit, optimized, (*root, 3))
-                records.append(
-                    BenchRecord(
-                        width=width,
-                        dead_mode=dead_mode,
-                        program=program,
-                        block=block,
-                        dead_count=len(dead),
-                        gates_before=report.initial_gate_count,
-                        gates_removed=len(report.removed),
-                        elapsed_micros=elapsed,
-                    )
-                )
-    return records, summary_csv(records, cfg)
+                removed += len(report.removed)
+                micros += elapsed
+        totals.append((width, removed, micros))
+    return totals, summary_csv(totals, cfg)
 
 
-def summary_csv(records: list[BenchRecord], cfg: BenchConfig) -> str:
+def summary_csv(totals: list[tuple[int, int, float]], cfg: BenchConfig) -> str:
+    """One row per `(width, gates_removed, micros)` of `run_bench`, each
+    sum divided by the width's `programs * blocks` blocks."""
+    runs = cfg.programs * cfg.blocks
     lines = ["width,dead_mode,mean_removed,mean_micros,programs,blocks,seed"]
-    for width in cfg.widths:
-        rows = [r for r in records if r.width == width]
-        mean_removed = sum(r.gates_removed for r in rows) / len(rows)
-        mean_micros = sum(r.elapsed_micros for r in rows) / len(rows)
+    for width, removed, micros in totals:
         lines.append(
-            f"{width},{cfg.dead_mode},{mean_removed:.6f},{mean_micros:.3f},"
+            f"{width},{cfg.dead_mode},{removed / runs:.6f},{micros / runs:.3f},"
             f"{cfg.programs},{cfg.blocks},{cfg.seed}"
         )
     return "\n".join(lines) + "\n"

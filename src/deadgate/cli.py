@@ -61,14 +61,24 @@ def _resolve(name: str):
 def _outputs(*paths: Path):
     """A text file writing each of `paths`, created if missing and not
     truncated, for `_write`. All are opened before the work that fills
-    them, so that a path that cannot be written is refused before that
-    work and before any output is written; a new path may be left empty.
-    Each file is closed on leaving, written or not."""
+    them, so that a path that cannot be written, or two paths that name
+    one regular file (by device and inode, so through a link too), are
+    refused before that work and before any output is written; a new
+    path may be left empty. Each file is closed on leaving, written or
+    not."""
     def in_place(path: str, flags: int) -> int:
         return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
     with contextlib.ExitStack() as stack:
-        yield [stack.enter_context(open(path, "w", opener=in_place)) for path in paths]
+        files = [stack.enter_context(open(path, "w", opener=in_place)) for path in paths]
+        regular: dict[tuple[int, int], str] = {}
+        for fh in files:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                if (key := (st.st_dev, st.st_ino)) in regular:
+                    raise ValueError(f"outputs {regular[key]} and {fh.name} are one file")
+                regular[key] = fh.name
+        yield files
 
 
 def _write(fh, text: str) -> None:
@@ -294,10 +304,11 @@ def cmd_bench(args) -> int:
     )
     manifest_path = args.out.with_suffix(args.out.suffix + ".manifest.json")
     with _outputs(args.out, manifest_path) as (csv_file, manifest_file):
-        records, csv_text = _resolve("run_bench")(cfg)
+        _, csv_text = _resolve("run_bench")(cfg)
         _write(csv_file, csv_text)
         _write(manifest_file, _resolve("manifest_json")(cfg, __version__))
-    print(f"wrote {len(cfg.widths)} summary rows ({len(records)} runs) to {args.out}")
+    runs = len(cfg.widths) * cfg.programs * cfg.blocks
+    print(f"wrote {len(cfg.widths)} summary rows ({runs} runs) to {args.out}")
     return 0
 
 

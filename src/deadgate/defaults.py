@@ -5,7 +5,3 @@ DEFAULT_SAMPLES = 20
 DEFAULT_TOL = 1e-9
 # bench gates per circuit, gate_multiplier * width (acceptance sweep: 4,000 at most)
 MAX_CIRCUIT_GATES = 10**6
-# bench blocks per sweep, widths * programs * blocks (the BenchConfig
-# defaults over 20 widths: 1.2M); at up to 250 bytes per kept record,
-# the records stay under 512 MiB
-MAX_SWEEP_BLOCKS = 1_500_000

@@ -9,11 +9,12 @@ against kept wires, and kept wires read through a dead-wire pairing.
 matrices are written from the gates' definitions, each gate is applied
 by moving its wires to the front, and outcome probabilities are summed
 with `einsum`. `reference_marginal_equiv` is the oracle's check one
-sample at a time, each circuit simulated whole, on the oracle's seeded
-input states. Run on the circuits themselves it is the
-verdict reference for the oracle; run on `reduced_pair`'s circuits, which
-hold only what the oracle simulates, it must match the oracle's worst gap
-and witness to rounding.
+sample at a time, each circuit simulated whole, on input states drawn
+here by the oracle's recipe from the oracle's seeds (`random_state`).
+Run on the circuits themselves it is the verdict reference for the
+oracle; run on `reduced_pair`'s circuits, which hold only what the
+oracle simulates, it must match the oracle's worst gap and witness to
+rounding.
 `eager_random_circuit` is the bench generator building every gate up
 front: the reference for its lazily built gate sequence. `mutants` draws
 byte-mutated copies of the `fixtures` programs, the inputs on
@@ -135,6 +136,14 @@ def marginal(amps: np.ndarray, n: int, wires) -> np.ndarray:
     return np.einsum(probs, list(range(n)), list(wires)).reshape(-1)
 
 
+def random_state(n: int, seed) -> np.ndarray:
+    """The oracle's input state for `seed`, drawn by the same recipe:
+    i.i.d. complex Gaussian amplitudes, normalized."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return amps / np.linalg.norm(amps)
+
+
 def reference_marginal_equiv(
     c1: Circuit, c2: Circuit, wires1, wires2, samples=20, seed=0, tol=1e-9,
     bindings=None,
@@ -146,7 +155,7 @@ def reference_marginal_equiv(
     witness = None
     sample_gaps = []
     for i in range(samples):
-        amps = oracle.random_state(c1.n, seed=(seed, i))
+        amps = random_state(c1.n, seed=(seed, i))
         p1 = marginal(simulate(c1, amps, bindings), c1.n, wires1)
         p2 = marginal(simulate(c2, amps, bindings), c2.n, wires2)
         gaps = np.abs(p1 - p2)

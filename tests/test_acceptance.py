@@ -46,20 +46,22 @@ def bench_config(mode: DeadMode, **overrides) -> BenchConfig:
 
 @pytest.fixture(scope="session")
 def bench_sweep():
-    """Timed benchmark records and CSV for each dead mode."""
+    """Timed per-width totals and CSV for each dead mode."""
     out = {}
     for mode in MODES:
-        records, csv_text = run_bench(bench_config(mode))
-        out[str(mode)] = (records, csv_text)
+        totals, csv_text = run_bench(bench_config(mode))
+        out[str(mode)] = (totals, csv_text)
     return out
 
 
-def width_means(records, value=lambda r: r.gates_removed):
-    means = {}
-    for w in WIDTHS:
-        vals = [value(r) for r in records if r.width == w]
-        means[w] = sum(vals) / len(vals)
-    return means
+def bench_runs() -> int:
+    cfg = bench_config(MODES[0])
+    return cfg.programs * cfg.blocks
+
+
+def width_means(totals, micros=False):
+    """Mean gates removed (or pass microseconds) per block, by width."""
+    return {w: (t if micros else removed) / bench_runs() for w, removed, t in totals}
 
 
 def test_criterion_1_three_qubit_fixture(tmp_path):
@@ -256,11 +258,12 @@ def test_criterion_7_trend_reproduction(bench_sweep):
 
     group_means = {}
     for which in ("pct:10", "pct:20"):
-        records, _ = bench_sweep[which]
+        totals, _ = bench_sweep[which]
+        mode = DeadMode.parse(which)
         by_count = {}
-        for r in records:
-            by_count.setdefault(r.dead_count, []).append(r.gates_removed)
-        ordered = [sum(v) / len(v) for _, v in sorted(by_count.items())]
+        for w, removed, _ in totals:
+            by_count.setdefault(mode.count(w), []).append(removed)
+        ordered = [sum(v) / (len(v) * bench_runs()) for _, v in sorted(by_count.items())]
         assert all(b >= a for a, b in zip(ordered, ordered[1:])), which
         group_means[which] = ordered
 
@@ -289,7 +292,7 @@ def test_criterion_8_complexity_contract(bench_sweep, soundness_sweep):
         g = len(c.gates)
         assert report.gate_checks <= g * (g + 1)
 
-    micros = width_means(bench_sweep["fixed:1"][0], value=lambda r: r.elapsed_micros)
+    micros = width_means(bench_sweep["fixed:1"][0], micros=True)
     slope = float(np.polyfit(
         np.log(list(micros.keys())), np.log(list(micros.values())), 1
     )[0])

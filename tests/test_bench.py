@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,10 +336,25 @@ def small_config(**overrides) -> BenchConfig:
     return BenchConfig(**base)
 
 
+def sweep_blocks(cfg: BenchConfig):
+    """`(width, circuit, report)` for each block of `cfg`'s sweep, in
+    `run_bench`'s order, each drawn and optimized here on its own."""
+    for width in cfg.widths:
+        for program in range(cfg.programs):
+            for block in range(cfg.blocks):
+                root = (cfg.seed, width, program, block)
+                c = random_circuit(width, cfg.gate_multiplier * width,
+                                   cfg.single_qubit_fraction, seed=(*root, 1),
+                                   palette=cfg.palette)
+                dead = select_dead(width, cfg.dead_mode, seed=(*root, 2))
+                c = Circuit(c.n, c.gates, dead, c.outcome_map)
+                yield width, c, eliminate_dead_gates(c, RuleFlags())[1]
+
+
 class TestRunBench:
-    def test_record_and_row_counts(self):
-        records, csv_text = run_bench(small_config())
-        assert len(records) == 3 * 2 * 2
+    def test_total_and_row_counts(self):
+        totals, csv_text = run_bench(small_config())
+        assert [w for w, _, _ in totals] == [3, 4, 5]
         lines = csv_text.strip().splitlines()
         assert lines[0] == "width,dead_mode,mean_removed,mean_micros,programs,blocks,seed"
         assert len(lines) == 1 + 3
@@ -349,23 +365,44 @@ class TestRunBench:
         assert a == b
 
     def test_every_width_removes_something_on_average(self):
-        records, _ = run_bench(small_config())
-        for w in (3, 4, 5):
-            rows = [r for r in records if r.width == w]
-            assert sum(r.gates_removed for r in rows) > 0
+        totals, _ = run_bench(small_config())
+        assert all(removed > 0 for _, removed, _ in totals)
 
-    def test_records_share_one_dead_mode_string(self):
-        records, _ = run_bench(small_config(widths=(10,), dead_mode=DeadMode("pct", 20)))
-        assert records[0].dead_mode == "pct:20"
-        assert all(r.dead_mode is records[0].dead_mode for r in records)
+    def test_totals_sum_the_blocks(self):
+        cfg = small_config(dead_mode=DeadMode("pct", 40))
+        expected = {}
+        for width, _, report in sweep_blocks(cfg):
+            expected[width] = expected.get(width, 0) + len(report.removed)
+        assert run_bench(cfg)[0] == [(w, expected[w], 0.0) for w in cfg.widths]
 
-    def test_dead_count_recorded(self):
-        records, _ = run_bench(small_config(widths=(10,), dead_mode=DeadMode("pct", 20)))
-        assert all(r.dead_count == 2 for r in records)
+    def test_duplicate_widths_give_identical_rows(self):
+        totals, csv_text = run_bench(small_config(widths=(4, 3, 4, 4)))
+        _, alone = run_bench(small_config(widths=(4,)))
+        rows = csv_text.strip().splitlines()[1:]
+        assert rows[0] == rows[2] == rows[3] == alone.strip().splitlines()[1]
+        assert totals[0] == totals[2] == totals[3]
+
+    def test_memory_does_not_grow_with_blocks(self):
+        cfg = small_config(widths=(2,), gate_multiplier=100, programs=1, blocks=20_000,
+                           verify_fraction=0.0)
+        # a first sweep pays the one-time costs (lazy imports, caches)
+        run_bench(dataclasses.replace(cfg, blocks=3))
+        tracemalloc.start()
+        try:
+            run_bench(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_dead_count_per_block(self):
+        cfg = small_config(widths=(10,), dead_mode=DeadMode("pct", 20))
+        assert all(len(c.dead) == 2 for _, c, _ in sweep_blocks(cfg))
 
     def test_removed_never_exceeds_gates(self):
-        records, _ = run_bench(small_config())
-        assert all(0 <= r.gates_removed <= r.gates_before for r in records)
+        for _, c, report in sweep_blocks(small_config()):
+            assert report.initial_gate_count == len(c.gates)
+            assert 0 <= len(report.removed) <= report.initial_gate_count
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -382,12 +419,8 @@ class TestRunBench:
         small_config(widths=(2, 10), gate_multiplier=100_000)
         with pytest.raises(ValueError, match="^1000010 gates per circuit exceeds 1000000$"):
             small_config(widths=(2, 10), gate_multiplier=100_001)
-        # the sweep bound is on widths * programs * blocks, and admits the
-        # library defaults over 20 widths
-        BenchConfig(widths=tuple(range(2, 42, 2)), dead_mode=DeadMode("fixed", 1))
-        small_config(widths=(2, 3, 4), programs=1000, blocks=500)
-        with pytest.raises(ValueError, match="^1500001 blocks per sweep exceeds 1500000$"):
-            small_config(widths=(2,), programs=1_500_001, blocks=1)
+        # a sweep holds one total per width, so its block count is unbounded
+        small_config(widths=(2,), programs=1_500_001, blocks=1)
 
     def test_config_is_frozen(self):
         cfg = small_config()
@@ -404,13 +437,14 @@ class TestRunBench:
 
     def test_summary_means(self):
         cfg = small_config(widths=(3,))
-        records, csv_text = run_bench(cfg)
-        mean = sum(r.gates_removed for r in records) / len(records)
+        _, csv_text = run_bench(cfg)
+        removed = [len(report.removed) for _, _, report in sweep_blocks(cfg)]
+        mean = sum(removed) / len(removed)
         row = csv_text.strip().splitlines()[1].split(",")
         assert row[0] == "3"
         assert float(row[2]) == pytest.approx(mean, abs=5e-7)
 
     def test_spot_verification_runs(self):
         # verify_fraction=1 forces the oracle check on every block
-        records, _ = run_bench(small_config(verify_fraction=1.0))
-        assert records  # would have raised on any unsound removal
+        totals, _ = run_bench(small_config(verify_fraction=1.0))
+        assert totals  # would have raised on any unsound removal
