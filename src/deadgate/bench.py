@@ -20,16 +20,17 @@ import math
 import operator
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .circuit import Circuit, Gate, GateKind, SingleQubit, named_kind
 
 # build_circuit stays a name here: perfbench's tracer wraps bench.build_circuit
 from .circuit import build_circuit  # noqa: F401
 from .defaults import MAX_CIRCUIT_GATES
-from .eliminate import RuleFlags, eliminate_dead_gates
+from .eliminate import OptimizationReport, RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
 
 _ONE_QUBIT = ("H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg")
@@ -77,8 +78,8 @@ class BenchConfig:
     dead_mode: DeadMode
     gate_multiplier: int = 100
     single_qubit_fraction: float = 0.10
-    blocks: int = 60
-    programs: int = 1000
+    blocks: int = 10
+    programs: int = 20
     seed: int = 0
     palette: tuple[str, ...] = DEFAULT_PALETTE
     verify_fraction: float = 0.05
@@ -112,39 +113,24 @@ class BenchConfig:
             )
 
 
-class _Draws(NamedTuple):
-    """The generator's per-gate draws for one circuit. `random_circuit`
-    draws every wire in range and two distinct wires per two-qubit gate."""
-
-    is_1q: np.ndarray
-    base_idx: np.ndarray
-    wire: np.ndarray
-    pal_idx: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    palette: tuple[str, ...]
-
-    def kind(self, i: int) -> GateKind:
-        if self.is_1q.item(i):
-            return SingleQubit(_ONE_QUBIT[self.base_idx.item(i)], self.wire.item(i))
-        return named_kind(self.palette[self.pal_idx.item(i)], (self.a.item(i), self.b.item(i)))
-
-
 class DrawnGates:
-    """Read-only gate sequence over a random circuit's draws.
+    """Read-only gate sequence over a kind function: gate i is
+    `Gate(i, kind(i))` for i below `stop`, then come the gates of `tail`,
+    a tuple.
 
-    `Gate(i, kind)` is built each time index i is read, so a pass that
-    walks only the tail never builds the rest. The sequence is its first
-    `stop` drawn gates followed by `tail`, a tuple of gates. `[:k]` and
-    `+ tuple` give sequences on the same draws; every other slice is a
-    tuple. It compares equal to a tuple of the same gates, either way round.
+    A gate is built each time its index is read, so a pass that walks
+    only the tail never builds the rest. `[:k]` and `+ tuple` give
+    sequences on the same kind function; every other slice is a tuple. It
+    compares equal to a tuple of the same gates, either way round.
     """
 
-    __slots__ = ("_draws", "_stop", "_tail")
+    __slots__ = ("_kind", "_stop", "_tail")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, draws: _Draws, stop: int, tail: tuple[Gate, ...] = ()) -> None:
-        self._draws = draws
+    def __init__(
+        self, kind: Callable[[int], GateKind], stop: int, tail: tuple[Gate, ...] = ()
+    ) -> None:
+        self._kind = kind
         self._stop = stop
         self._tail = tail
 
@@ -153,7 +139,7 @@ class DrawnGates:
 
     def _at(self, i: int) -> Gate:
         if i < self._stop:
-            return Gate(i, self._draws.kind(i))
+            return Gate(i, self._kind(i))
         return self._tail[i - self._stop]
 
     def __getitem__(self, index):
@@ -161,8 +147,8 @@ class DrawnGates:
             start, stop, step = index.indices(len(self))
             if start == 0 and step == 1:
                 if stop <= self._stop:
-                    return DrawnGates(self._draws, stop)
-                return DrawnGates(self._draws, self._stop, self._tail[: stop - self._stop])
+                    return DrawnGates(self._kind, stop)
+                return DrawnGates(self._kind, self._stop, self._tail[: stop - self._stop])
             return tuple(self._at(i) for i in range(start, stop, step))
         i = operator.index(index)
         n = len(self)
@@ -181,7 +167,7 @@ class DrawnGates:
     def __add__(self, other):
         if not isinstance(other, tuple):
             return NotImplemented
-        return DrawnGates(self._draws, self._stop, self._tail + other)
+        return DrawnGates(self._kind, self._stop, self._tail + other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (DrawnGates, tuple)):
@@ -200,10 +186,11 @@ def random_circuit(
     fraction_1q (uniform base, uniform wire), otherwise a uniform palette
     pick on a uniform ordered pair of distinct wires.
 
-    All gates are drawn at once, every wire in range by construction:
-    a two-qubit gate's second wire is its first shifted by 1 to w-1
-    modulo w. Each `Gate` is built only where its index is read (see
-    `DrawnGates`)."""
+    All gates are drawn at once, as six arrays, every wire in range by
+    construction: a two-qubit gate's second wire is its first shifted by
+    1 to w-1 modulo w. The gates are a `DrawnGates` over one function
+    that reads gate i's kind from the arrays, so each `Gate` is built
+    only where its index is read."""
     if w < 2 and not fraction_1q >= 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)
@@ -213,8 +200,14 @@ def random_circuit(
     pal_idx = rng.integers(0, len(palette), size=gates)
     first = rng.integers(0, w, size=gates)
     shift = rng.integers(1, w, size=gates) if w > 1 else np.zeros(gates, dtype=int)
-    draws = _Draws(is_1q, base_idx, wire, pal_idx, first, (first + shift) % w, palette)
-    return Circuit(w, DrawnGates(draws, gates), frozenset(), tuple(range(w)))
+    second = (first + shift) % w
+
+    def kind(i: int) -> GateKind:
+        if is_1q.item(i):
+            return SingleQubit(_ONE_QUBIT[base_idx.item(i)], wire.item(i))
+        return named_kind(palette[pal_idx.item(i)], (first.item(i), second.item(i)))
+
+    return Circuit(w, DrawnGates(kind, gates), frozenset(), tuple(range(w)))
 
 
 def select_dead(w: int, mode: DeadMode, seed) -> frozenset[int]:
@@ -230,15 +223,18 @@ def select_dead(w: int, mode: DeadMode, seed) -> frozenset[int]:
     return frozenset(int(q) for q in perm[:k])
 
 
-def _spot_verify(original: Circuit, optimized: Circuit, seed) -> None:
+def _spot_verify(
+    original: Circuit, optimized: Circuit, report: OptimizationReport, seed
+) -> None:
+    """Check the pass's output against `original` on the oracle, given
+    only the gates from the first removal in `report` on: the pass keeps
+    every gate before it in place. Raises AssertionError if they differ."""
     valid = [q for q in range(original.n) if q not in original.dead]
     mapped = [optimized.outcome_map[q] for q in valid]
-    # the pass keeps the gates before its walk as a view on the same
-    # draws, so only the walked tails can differ
-    start = optimized.gates._stop
+    start = min((r.id for r in report.removed), default=len(original.gates))
     verdict = check_marginal_equiv(
-        replace(original, gates=tuple(original.gates[start:])),
-        replace(optimized, gates=tuple(optimized.gates[start:])),
+        replace(original, gates=original.gates[start:]),
+        replace(optimized, gates=optimized.gates[start:]),
         valid, mapped, seed=seed,
     )
     if not verdict.equivalent:
@@ -274,7 +270,7 @@ def run_bench(cfg: BenchConfig) -> tuple[list[tuple[int, int, float]], str]:
                 if verify_every and width <= 10:
                     candidates += 1
                     if candidates % verify_every == 0:
-                        _spot_verify(circuit, optimized, (*root, 3))
+                        _spot_verify(circuit, optimized, report, (*root, 3))
                 removed += len(report.removed)
                 micros += elapsed
         totals.append((width, removed, micros))
@@ -294,9 +290,9 @@ def summary_csv(totals: list[tuple[int, int, float]], cfg: BenchConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def manifest_json(cfg: BenchConfig, version: str) -> str:
+def manifest_json(cfg: BenchConfig) -> str:
     doc = {
-        "tool_version": version,
+        "tool_version": __version__,
         "widths": list(cfg.widths),
         "dead_mode": str(cfg.dead_mode),
         "gate_multiplier": cfg.gate_multiplier,

@@ -306,7 +306,7 @@ def cmd_bench(args) -> int:
     with _outputs(args.out, manifest_path) as (csv_file, manifest_file):
         _, csv_text = _resolve("run_bench")(cfg)
         _write(csv_file, csv_text)
-        _write(manifest_file, _resolve("manifest_json")(cfg, __version__))
+        _write(manifest_file, _resolve("manifest_json")(cfg))
     runs = len(cfg.widths) * cfg.programs * cfg.blocks
     print(f"wrote {len(cfg.widths)} summary rows ({runs} runs) to {args.out}")
     return 0

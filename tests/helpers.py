@@ -16,7 +16,8 @@ oracle; run on `reduced_pair`'s circuits, which hold only what the
 oracle simulates, it must match the oracle's worst gap and witness to
 rounding.
 `eager_random_circuit` is the bench generator building every gate up
-front: the reference for its lazily built gate sequence. `mutants` draws
+front, from the arrays `generator_draws` redraws: the reference for its
+lazily built gate sequence. `mutants` draws
 byte-mutated copies of the `fixtures` programs, the inputs on
 which the parser must be total. `programs` draws valid programs, the
 inputs the parser must accept.
@@ -217,13 +218,10 @@ def source_from_circuit(c: Circuit) -> SourceCircuit:
     )
 
 
-def eager_random_circuit(
-    w: int, gates: int, fraction_1q: float, seed, palette=DEFAULT_PALETTE
-) -> Circuit:
-    """`bench.random_circuit` with every gate built and checked one by one,
-    from the same draws in the same order."""
-    if w < 2 and not fraction_1q >= 1.0:
-        raise ValueError("two-qubit gates need width >= 2")
+def generator_draws(w: int, gates: int, fraction_1q: float, seed, palette=DEFAULT_PALETTE):
+    """The arrays `bench.random_circuit` draws, in its order: whether each
+    gate is single-qubit, its one-qubit base index and wire, its palette
+    index, and its two wires."""
     rng = np.random.default_rng(seed)
     is_1q = rng.random(gates) < fraction_1q
     base_idx = rng.integers(0, len(_ONE_QUBIT), size=gates)
@@ -231,13 +229,25 @@ def eager_random_circuit(
     pal_idx = rng.integers(0, len(palette), size=gates)
     first = rng.integers(0, w, size=gates)
     shift = rng.integers(1, w, size=gates) if w > 1 else np.zeros(gates, dtype=int)
+    return is_1q, base_idx, wire, pal_idx, first, (first + shift) % w
+
+
+def eager_random_circuit(
+    w: int, gates: int, fraction_1q: float, seed, palette=DEFAULT_PALETTE
+) -> Circuit:
+    """`bench.random_circuit` with every gate built and checked one by one,
+    from the same draws in the same order."""
+    if w < 2 and not fraction_1q >= 1.0:
+        raise ValueError("two-qubit gates need width >= 2")
+    is_1q, base_idx, wire, pal_idx, first, second = generator_draws(
+        w, gates, fraction_1q, seed, palette)
     kinds: list[GateKind] = []
     for i in range(gates):
         if is_1q[i]:
             kinds.append(SingleQubit(_ONE_QUBIT[base_idx[i]], int(wire[i])))
             continue
         a = int(first[i])
-        b = int((first[i] + shift[i]) % w)
+        b = int(second[i])
         name = palette[pal_idx[i]]
         if name == "cx":
             kinds.append(Controlled("X", (a,), b))

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
+import deadgate
 from deadgate import (
-    Circuit, Controlled, RuleFlags, SingleQubit, Swap, build_circuit, check_marginal_equiv,
+    Circuit, Controlled, Gate, RuleFlags, SingleQubit, Swap, build_circuit,
+    check_marginal_equiv,
 )
 from deadgate import bench
 from deadgate.bench import (
@@ -27,7 +29,7 @@ from deadgate.bench import (
 from deadgate.eliminate import eliminate_dead_gates
 from deadgate.qasm import parse, serialize
 
-from helpers import eager_random_circuit, source_from_circuit
+from helpers import eager_random_circuit, generator_draws, source_from_circuit
 
 
 class TestRandomCircuit:
@@ -101,9 +103,12 @@ class TestGeneratorAndParserAgree:
             assert [g.kind for g in back.gates] == [g.kind for g in c.gates]
         # cz drawn with its first wire above its second is among them
         if "cz" in palette:
-            draws = c.gates._draws
-            two = ~draws.is_1q & (np.asarray(palette)[draws.pal_idx] == "cz")
-            assert (draws.a[two] > draws.b[two]).any()
+            is_1q, _, _, pal_idx, a, b = generator_draws(w, 30 * w, 0.1, (84, w), palette)
+            two = ~is_1q & (np.asarray(palette)[pal_idx] == "cz")
+            assert (a[two] > b[two]).any()
+            for i in np.flatnonzero(two):
+                lo, hi = sorted((int(a[i]), int(b[i])))
+                assert c.gates[i].kind == Controlled("Z", (lo,), hi)
 
 
 class TestLazyMatchesEager:
@@ -157,24 +162,30 @@ class TestLazyMatchesEager:
 
 
     def test_spot_verify_reads_only_past_the_shared_start(self, monkeypatch):
-        c = random_circuit(10, 1000, 0.1, seed=(7, 10, 0, 0, 1))
-        dead = select_dead(10, DeadMode("pct", 20), seed=(7, 10, 0, 0, 2))
-        c = Circuit(10, c.gates, dead, c.outcome_map)
-        optimized, report = eliminate_dead_gates(c)
-        start = len(c.gates) - walked_count(c, report)
-        drawn = []
+        built = []
 
-        def spy(draws, i):
-            drawn.append(i)
-            return real_kind(draws, i)
+        def spy(i, kind):
+            built.append(i)
+            return real_gate(i, kind)
 
-        real_kind = bench._Draws.kind
-        monkeypatch.setattr(bench._Draws, "kind", spy)
-        bench._spot_verify(c, optimized, seed=(7, 10, 0, 0, 3))
-        # no gate before the walk's start is drawn, since the pass keeps
-        # those as the same draws, and each one after it at most twice
-        assert drawn and min(drawn) >= start > 900
-        assert max(Counter(drawn).values()) <= 2
+        real_gate = bench.Gate
+        # block 0 removes nothing, block 2 removes gates 997 and 998
+        for block in (0, 2):
+            root = (7, 10, 0, block)
+            c = random_circuit(10, 1000, 0.1, seed=(*root, 1))
+            dead = select_dead(10, DeadMode("pct", 20), seed=(*root, 2))
+            c = Circuit(10, c.gates, dead, c.outcome_map)
+            optimized, report = eliminate_dead_gates(c)
+            first = min((r.id for r in report.removed), default=len(c.gates))
+            assert first >= len(c.gates) - walked_count(c, report) > 900
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(bench, "Gate", spy)
+                bench._spot_verify(c, optimized, report, seed=(*root, 3))
+            # no gate before the first removal is built, since the pass
+            # keeps those in place, and each one from it on at most twice
+            assert sorted(set(built)) == list(range(first, len(c.gates)))
+            assert max(Counter(built).values(), default=0) <= 2
 
 
 def walked_count(c: Circuit, report) -> int:
@@ -193,8 +204,9 @@ def walked_count(c: Circuit, report) -> int:
 
 
 class TestSpotVerifyTails:
-    """`_spot_verify` hands the oracle only the walked tails, and its
-    verdict is the oracle's on the whole circuits."""
+    """`_spot_verify` hands the oracle only the gates from the pass's
+    first removal on, and its verdict is the oracle's on the whole
+    circuits."""
 
     @pytest.mark.parametrize("mode", ["fixed:1", "pct:10", "pct:20"])
     def test_tail_verdict_matches_whole_circuits(self, monkeypatch, mode):
@@ -214,16 +226,75 @@ class TestSpotVerifyTails:
                 dead = select_dead(w, DeadMode.parse(mode), seed=(*root, 2))
                 c = Circuit(w, c.gates, dead, c.outcome_map)
                 optimized, report = eliminate_dead_gates(c)
-                bench._spot_verify(c, optimized, (*root, 3))
+                bench._spot_verify(c, optimized, report, (*root, 3))
                 tail1, tail2, verdict = calls.pop()
-                walked = walked_count(c, report)
+                first = min((r.id for r in report.removed), default=len(c.gates))
                 assert type(tail1) is tuple and type(tail2) is tuple
-                assert tail1 == tuple(c.gates)[len(c.gates) - walked:]
-                assert tail2 == tuple(optimized.gates)[len(c.gates) - walked:]
-                valid = [q for q in range(w) if q not in dead]
-                mapped = [optimized.outcome_map[q] for q in valid]
-                whole = check_marginal_equiv(c, optimized, valid, mapped, seed=(*root, 3))
-                assert verdict == whole
+                assert tuple(optimized.gates)[:first] == tuple(c.gates)[:first]
+                assert tail1 == tuple(c.gates)[first:]
+                assert tail2 == tuple(optimized.gates)[first:]
+                assert len(tail1) <= walked_count(c, report)
+                assert verdict == whole_verdict(c, optimized, (*root, 3))
+
+    def test_tuple_circuits_give_the_whole_circuit_verdict(self, monkeypatch):
+        verdicts = []
+        oracle_check = bench.check_marginal_equiv
+
+        def spy(*args, **kwargs):
+            verdicts.append(oracle_check(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(bench, "check_marginal_equiv", spy)
+        caught = 0
+        for w in range(2, 8):
+            root = (4, w, 0, 0)
+            drawn = random_circuit(w, 100 * w, 0.1, seed=(*root, 1))
+            dead = select_dead(w, DeadMode("pct", 20), seed=(*root, 2))
+            c = Circuit(w, tuple(drawn.gates), dead, drawn.outcome_map)
+            optimized, report = eliminate_dead_gates(c)
+            assert type(optimized.gates) is tuple
+            bench._spot_verify(c, optimized, report, (*root, 3))
+            assert verdicts.pop() == whole_verdict(c, optimized, (*root, 3))
+            # an X appended on a kept wire's outcome wire: past the first
+            # removal, so the tails differ as the whole circuits do
+            kept_wire = optimized.outcome_map[min(set(range(w)) - dead)]
+            flip = Gate(len(optimized.gates), SingleQubit("X", kept_wire))
+            broken = dataclasses.replace(optimized, gates=optimized.gates + (flip,))
+            whole = whole_verdict(c, broken, (*root, 3))
+            if whole.equivalent:
+                bench._spot_verify(c, broken, report, (*root, 3))
+            else:
+                caught += 1
+                with pytest.raises(AssertionError, match="spot verification failed"):
+                    bench._spot_verify(c, broken, report, (*root, 3))
+            assert verdicts.pop() == whole
+        assert caught
+
+    def test_nothing_removed_gives_two_empty_tails(self, monkeypatch):
+        calls = []
+
+        def spy(c1, c2, *args, **kwargs):
+            calls.append((c1.gates, c2.gates))
+            return check_marginal_equiv(c1, c2, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "check_marginal_equiv", spy)
+        for block in itertools.count():
+            root = (6, 6, 0, block)
+            c = random_circuit(6, 600, 0.1, seed=(*root, 1))
+            dead = select_dead(6, DeadMode("fixed", 1), seed=(*root, 2))
+            c = Circuit(6, c.gates, dead, c.outcome_map)
+            optimized, report = eliminate_dead_gates(c)
+            if not report.removed:
+                break
+        bench._spot_verify(c, optimized, report, (*root, 3))
+        assert calls == [((), ())]
+
+
+def whole_verdict(original: Circuit, optimized: Circuit, seed):
+    """The oracle's verdict on the whole circuits, read as `_spot_verify` reads them."""
+    valid = [q for q in range(original.n) if q not in original.dead]
+    mapped = [optimized.outcome_map[q] for q in valid]
+    return check_marginal_equiv(original, optimized, valid, mapped, seed=seed)
 
 
 class TestDrawnGates:
@@ -431,7 +502,8 @@ class TestRunBench:
 
     def test_manifest_mentions_config(self):
         cfg = small_config()
-        text = manifest_json(cfg, "0.1.0")
+        text = manifest_json(cfg)
+        assert f'"tool_version": "{deadgate.__version__}"' in text
         assert '"dead_mode": "fixed:1"' in text
         assert '"seed": 5' in text
 

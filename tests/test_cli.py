@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -486,6 +487,21 @@ class TestBench:
         assert capsys.readouterr() == ("", f"{manifest}: Is a directory\n")
         # a new path may be left empty, never half written
         assert out.read_bytes() == b""
+
+    def test_option_defaults_are_the_config_defaults(self, tmp_path, capsys, monkeypatch):
+        """Each bench option left out sets its config field to that
+        field's `BenchConfig` default."""
+        seen = []
+
+        def sweep(cfg):
+            seen.append(cfg)
+            return [], ""
+
+        monkeypatch.setattr(cli, "run_bench", sweep)
+        assert main(["bench", "--out", str(tmp_path / "b.csv")]) == 0
+        (cfg,) = seen
+        default = cli.BenchConfig(widths=cfg.widths, dead_mode=cfg.dead_mode)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(default)
 
     def test_pct_mode_row(self, tmp_path):
         out = tmp_path / "bench.csv"
