@@ -29,8 +29,8 @@ g*(g+1) bound.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .circuit import Circuit, Controlled, Gate, SingleQubit, Swap
 
@@ -70,18 +70,35 @@ class OptimizationReport:
     gate_checks: int = 0
 
     def to_json(self) -> str:
-        doc = {
-            "initial_gate_count": self.initial_gate_count,
-            "final_gate_count": self.final_gate_count,
-            "iterations": self.iterations,
-            "gate_checks": self.gate_checks,
-            "removed": [
-                {"id": r.id, "gate": r.gate, "rule": r.rule} for r in self.removed
-            ],
-            "final_dead": self.final_dead,
-            "outcome_map": self.outcome_map,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The text `json.dumps(doc, indent=2)` gives, plus a newline, where
+        doc holds initial_gate_count, final_gate_count, iterations,
+        gate_checks, removed (objects with id, gate and rule), final_dead
+        and outcome_map, in that order.
+
+        The text is assembled here: with an indent, `json` uses its
+        pure-Python encoder, and `removed` grows with the gates the pass
+        removes. Strings are quoted as `json` quotes them by default.
+        """
+        removed = [
+            f'{{\n      "id": {r.id},\n      "gate": {encode_basestring_ascii(r.gate)},'
+            f'\n      "rule": {encode_basestring_ascii(r.rule)}\n    }}'
+            for r in self.removed
+        ]
+        return (
+            f'{{\n  "initial_gate_count": {self.initial_gate_count},'
+            f'\n  "final_gate_count": {self.final_gate_count},'
+            f'\n  "iterations": {self.iterations},'
+            f'\n  "gate_checks": {self.gate_checks},'
+            f'\n  "removed": {_json_list(removed)},'
+            f'\n  "final_dead": {_json_list(map(str, self.final_dead))},'
+            f'\n  "outcome_map": {_json_list(map(str, self.outcome_map))}\n}}\n'
+        )
+
+
+def _json_list(items) -> str:
+    """A list of already-encoded items at depth one, as `json.dumps` indents it."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
 
 
 def _match_rule(kind, dead: frozenset[int], flags: RuleFlags) -> RemovalRule | None:

@@ -206,7 +206,7 @@ class _Parser:
         self.n = 0
         self.creg: str | None = None
         self.creg_size = 0
-        self.gates: list[Gate] = []
+        self.gate_kinds: list[GateKind] = []  # one per gate statement, in order
         self.measures: list[tuple[int, int]] = []
         self.used_clbits: set[int] = set()
         self.measured_wires: set[int] = set()
@@ -247,7 +247,7 @@ class _Parser:
             kind = self.kinds.get(stmt)
             # after a measure, a gate is refused on its own line below
             if kind is not None and not self.measures:
-                self.gates.append(Gate(len(self.gates), kind))
+                self.gate_kinds.append(kind)
                 continue
             m = _GATE.match(stmt)
             word = m and m[1]
@@ -266,8 +266,9 @@ class _Parser:
             lines = text.count("\n") + (not text.endswith("\n"))
             raise QasmError(lines, "missing qreg declaration")
         dead = (frozenset(range(self.n)) - self.measured_wires) | self.discards
+        gates = tuple(map(Gate, range(len(self.gate_kinds)), self.gate_kinds))
         return SourceCircuit(
-            circuit=Circuit(self.n, tuple(self.gates), dead, tuple(range(self.n))),
+            circuit=Circuit(self.n, gates, dead, tuple(range(self.n))),
             measures=tuple(self.measures),
             opaque_decls=dict(self.opaque_decls),
             qreg=self.qreg,
@@ -380,7 +381,7 @@ class _Parser:
         if len(set(args)) != len(args):
             raise QasmError(lineno, f"duplicate qubit in {name}")
         self.kinds[stmt] = kind
-        self.gates.append(Gate(len(self.gates), kind))
+        self.gate_kinds.append(kind)
 
 
 def parse(text: str) -> SourceCircuit:

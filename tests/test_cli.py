@@ -52,6 +52,16 @@ class TestOptimize:
         ] * 3
         assert "removed 3 of 5 gates" in capsys.readouterr().out
 
+    def test_readme_report_bytes(self, tmp_path):
+        # the README states an input and the exact report optimize writes
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("The report is the text"):]
+        source, report = re.findall(r"```(?:json)?\n(.*?)```", section, re.S)[:2]
+        src = write(tmp_path, "in.qasm", source)
+        out = tmp_path / "report.json"
+        assert main(["optimize", str(src), str(tmp_path / "out.qasm"), "--report", str(out)]) == 0
+        assert out.read_text() == report
+
     def test_no_dead_qubits_output_identical(self, tmp_path):
         text = "\n".join(
             [

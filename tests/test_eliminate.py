@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from deadgate import (
     CircuitError,
     Controlled,
     Opaque,
+    OptimizationReport,
     RemovalRule,
     RuleFlags,
     SingleQubit,
@@ -19,6 +22,7 @@ from deadgate import (
 )
 from deadgate.bench import DeadMode, random_circuit, select_dead
 from deadgate.circuit import BASE_PARAMS
+from deadgate.eliminate import RemovedGate
 
 from sweep_reference import (
     apply_removal,
@@ -327,3 +331,49 @@ class TestLinearPassMatchesSweep:
         assert [gt.id for gt in opt.gates] == [0]
         if g <= 64:
             assert_matches_sweep(c, RuleFlags())
+
+
+def dumped_report(report: OptimizationReport) -> str:
+    """The report as `json` writes it, the text `to_json` must equal."""
+    doc = {
+        "initial_gate_count": report.initial_gate_count,
+        "final_gate_count": report.final_gate_count,
+        "iterations": report.iterations,
+        "gate_checks": report.gate_checks,
+        "removed": [{"id": r.id, "gate": r.gate, "rule": r.rule} for r in report.removed],
+        "final_dead": report.final_dead,
+        "outcome_map": report.outcome_map,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+int_lists = st.lists(st.integers(), max_size=4)
+
+
+class TestReportJson:
+    """`to_json` writes its text directly; it must equal `json.dumps`'s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        report=st.builds(
+            OptimizationReport,
+            removed=st.lists(
+                st.builds(RemovedGate, id=st.integers(), gate=st.text(), rule=st.text()),
+                max_size=4,
+            ),
+            iterations=st.integers(),
+            initial_gate_count=st.integers(),
+            final_gate_count=st.integers(),
+            final_dead=int_lists,
+            outcome_map=int_lists,
+            gate_checks=st.integers(),
+        )
+    )
+    def test_generated_reports(self, report):
+        assert report.to_json() == dumped_report(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=dead_circuits(), flags=st.sampled_from(ALL_FLAGS))
+    def test_pass_reports(self, c, flags):
+        report = eliminate_dead_gates(c, flags)[1]
+        assert report.to_json() == dumped_report(report)

@@ -325,8 +325,17 @@ class TestParseCaches:
         assert [g.qubits for g in parse(text).circuit.gates] == [(1,), (11,), (1,), (11, 1), (1,)]
 
     def test_repeats_share_one_kind(self):
-        gates = parse(program("qreg q[2];", "cx q[0],q[1];", "h q[0];", "cx q[0],q[1];"))
-        assert gates.circuit.gates[0].kind is gates.circuit.gates[2].kind
+        # ids follow file order, each repeat takes its first occurrence's
+        # kind object, and each gate's wires are its kind's
+        lines = ["cx q[0],q[1];", "h q[0];", "cx q[0],q[1];", "rz(pi/4) q[2];", "h q[0];",
+                 "ccz q[2],q[0],q[1];", "rz(pi/4) q[2];", "cx q[0],q[1];"]
+        gates = parse(program("qreg q[3];", *lines)).circuit.gates
+        assert [g.id for g in gates] == list(range(len(lines)))
+        first: dict = {}
+        for gate, stmt in zip(gates, lines):
+            assert gate.kind is first.setdefault(stmt, gate.kind)
+            assert gate.qubits == gate.kind.qubits()
+        assert len({id(g.kind) for g in gates}) == len(first) == 4
 
     def test_repeat_after_measure_fails_on_its_line(self):
         text = program("qreg q[1];", "creg c[1];", "h q[0];", "measure q[0] -> c[0];",
