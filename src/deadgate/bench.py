@@ -29,12 +29,14 @@ from .circuit import Circuit, Gate, GateKind, SingleQubit, named_kind
 
 # build_circuit stays a name here: perfbench's tracer wraps bench.build_circuit
 from .circuit import build_circuit  # noqa: F401
-from .defaults import MAX_CIRCUIT_GATES
+from .defaults import (
+    DEFAULT_1Q_FRACTION, DEFAULT_BENCH_SEED, DEFAULT_BLOCKS, DEFAULT_GATE_MULTIPLIER,
+    DEFAULT_PALETTE, DEFAULT_PROGRAMS, DEFAULT_VERIFY_FRACTION, MAX_CIRCUIT_GATES,
+)
 from .eliminate import OptimizationReport, RuleFlags, eliminate_dead_gates
 from .oracle import check_marginal_equiv
 
 _ONE_QUBIT = ("H", "X", "Y", "Z", "S", "Sdg", "T", "Tdg")
-DEFAULT_PALETTE = ("cx", "cz", "swap")
 # the sweep runs the default rules, as `deadgate optimize` does
 _FLAGS = RuleFlags()
 
@@ -76,13 +78,13 @@ class DeadMode:
 class BenchConfig:
     widths: tuple[int, ...]
     dead_mode: DeadMode
-    gate_multiplier: int = 100
-    single_qubit_fraction: float = 0.10
-    blocks: int = 10
-    programs: int = 20
-    seed: int = 0
+    gate_multiplier: int = DEFAULT_GATE_MULTIPLIER
+    single_qubit_fraction: float = DEFAULT_1Q_FRACTION
+    blocks: int = DEFAULT_BLOCKS
+    programs: int = DEFAULT_PROGRAMS
+    seed: int = DEFAULT_BENCH_SEED
     palette: tuple[str, ...] = DEFAULT_PALETTE
-    verify_fraction: float = 0.05
+    verify_fraction: float = DEFAULT_VERIFY_FRACTION
     measure_time: bool = True
 
     def __post_init__(self) -> None:

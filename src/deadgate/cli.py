@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .circuit import Circuit, CircuitError
-from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL, MAX_CIRCUIT_GATES
+from .defaults import (
+    DEFAULT_1Q_FRACTION, DEFAULT_BENCH_SEED, DEFAULT_BLOCKS, DEFAULT_GATE_MULTIPLIER,
+    DEFAULT_PALETTE, DEFAULT_PROGRAMS, DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL,
+    DEFAULT_VERIFY_FRACTION, MAX_CIRCUIT_GATES,
+)
 from .eliminate import RuleFlags, eliminate_dead_gates
 from .qasm import DIALECT_VERSION, QasmError, parse, serialize
 
@@ -148,14 +152,16 @@ def _parser() -> argparse.ArgumentParser:
                          help="start:stop:step or comma list (default 2:40:2)")
     p_bench.add_argument("--dead", default="fixed:1",
                          help="fixed:k or pct:p dead-qubit setting")
-    p_bench.add_argument("--programs", type=int, default=20)
-    p_bench.add_argument("--blocks", type=int, default=10)
-    p_bench.add_argument("--gate-multiplier", type=int, default=100)
-    p_bench.add_argument("--1q-fraction", dest="fraction_1q", type=float, default=0.10)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--palette", default="cx,cz,swap",
-                         help="two-qubit gate palette (subset of cx,cz,swap)")
-    p_bench.add_argument("--verify-fraction", type=float, default=0.05)
+    p_bench.add_argument("--programs", type=int, default=DEFAULT_PROGRAMS)
+    p_bench.add_argument("--blocks", type=int, default=DEFAULT_BLOCKS)
+    p_bench.add_argument("--gate-multiplier", type=int, default=DEFAULT_GATE_MULTIPLIER)
+    p_bench.add_argument("--1q-fraction", dest="fraction_1q", type=float,
+                         default=DEFAULT_1Q_FRACTION)
+    p_bench.add_argument("--seed", type=int, default=DEFAULT_BENCH_SEED)
+    palette = ",".join(DEFAULT_PALETTE)
+    p_bench.add_argument("--palette", default=palette,
+                         help=f"two-qubit gate palette (subset of {palette})")
+    p_bench.add_argument("--verify-fraction", type=float, default=DEFAULT_VERIFY_FRACTION)
     p_bench.add_argument("--no-timing", action="store_true",
                          help="report zero elapsed time so CSV bytes are reproducible")
     p_bench.add_argument("--out", type=Path, required=True)

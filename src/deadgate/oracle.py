@@ -6,10 +6,11 @@ outcome probabilities over two wire lists, entry by entry. The callers
 build the lists: kept wires for a plain comparison, kept wires read
 through an outcome map or a dead-wire pairing for a relabeled one. It
 checks its own arguments and refuses sizes above fixed ceilings, judged
-on the circuits' full width, and a caller's opaque bindings once. On any
-gate sequences, it simulates only the gates after the prefix they share
-by kind, on only the wires those gates touch or the two lists read
-differently (its docstring says why that decides the same question).
+on the circuits' full width, then binds each opaque label to a
+Haar-random unitary drawn from its seed. On any gate sequences, it
+simulates only the gates after the prefix they share by kind, on only
+the wires those gates touch or the two lists read differently (its
+docstring says why that decides the same question).
 Bit convention throughout: qubit q0 is the most significant bit of a
 basis index, so for n=2 the amplitudes are |00>,|01>,|10>,|11> in order.
 
@@ -107,21 +108,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _opaque_dims(circuits: Sequence[Circuit]) -> dict[str, int]:
-    """Matrix dimension of each opaque label in the circuits, whose arity
-    must agree wherever the label is used."""
-    dims: dict[str, int] = {}
-    for c in circuits:
-        for g in c.gates:
-            if isinstance(g.kind, Opaque):
-                label, dim = g.kind.label, 2 ** len(g.kind.wires)
-                if dims.setdefault(label, dim) != dim:
-                    raise CircuitError(
-                        f"opaque label {label!r} used with inconsistent arity"
-                    )
-    return dims
-
-
 def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
     """Haar-random unitary per opaque label across the given circuits.
 
@@ -131,31 +117,21 @@ def bind_opaques(circuits: Sequence[Circuit], seed) -> dict[str, np.ndarray]:
     Label i draws from (seed, i, 1): numpy reads (seed, i) as the same
     entropy as the input state of sample i, seeded (seed, i).
     """
-    dims = _opaque_dims(circuits)
+    dims: dict[str, int] = {}
+    for c in circuits:
+        for g in c.gates:
+            if isinstance(g.kind, Opaque):
+                label, dim = g.kind.label, 2 ** len(g.kind.wires)
+                if dims.setdefault(label, dim) != dim:
+                    raise CircuitError(
+                        f"opaque label {label!r} used with inconsistent arity"
+                    )
     if (size := 16 * sum(d * d for d in dims.values())) > _MAX_BINDING_BYTES:
         raise CircuitError(f"opaque bindings need {-(-size >> 20)} MiB, above 512 MiB")
     return {
         label: haar_unitary(dims[label], np.random.default_rng([seed, i, 1]))
         for i, label in enumerate(sorted(dims))
     }
-
-
-def _checked_bindings(
-    circuits: Sequence[Circuit], bindings: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Each opaque label's binding as a complex array, checked once: of its
-    block's shape, and unitary, at one dim x dim product (a Haar draw's QR)."""
-    checked = {}
-    for label, dim in _opaque_dims(circuits).items():
-        if label not in bindings:
-            raise CircuitError(f"opaque block {label!r} has no bound unitary")
-        u = np.asarray(bindings[label], dtype=complex)
-        if u.shape != (dim, dim):
-            raise CircuitError(f"binding for {label!r} has shape {u.shape}, expected {(dim, dim)}")
-        if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-9:  # NaN fails too
-            raise CircuitError(f"binding for {label!r} is not unitary")
-        checked[label] = u
-    return checked
 
 
 def _controlled_matrix(kind: Controlled) -> np.ndarray:
@@ -241,16 +217,14 @@ def check_marginal_equiv(
     samples: int = DEFAULT_SAMPLES,
     seed=0,
     tol: float = DEFAULT_TOL,
-    bindings: Mapping[str, np.ndarray] | None = None,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> EquivalenceVerdict:
     """Compare c1's marginal over wires1 with c2's marginal over wires2.
 
     Entry k of wires1 is compared with entry k of wires2, so a caller
     lists kept wires ascending for a plain comparison, or reads the
-    second circuit through an outcome map or a dead-wire pairing. With
-    no `bindings`, opaque blocks are bound from `seed` after the checks;
-    given ones must each be a unitary of its block's shape, checked once.
+    second circuit through an outcome map or a dead-wire pairing. After
+    the checks, opaque blocks are bound with `bind_opaques((c1, c2), seed)`.
     The verdict carries the worst probability gap seen over `samples`
     random input states, each seeded by (seed, sample index).
 
@@ -293,10 +267,7 @@ def check_marginal_equiv(
         for q in qs:
             if not 0 <= q < n:
                 raise CircuitError(f"qubit q[{q}] out of range")
-    if bindings is None:
-        bindings = bind_opaques((c1, c2), seed)
-    else:
-        bindings = _checked_bindings((c1, c2), bindings)
+    bindings = bind_opaques((c1, c2), seed)
     common = _common_prefix(c1.gates, c2.gates)
     rest1, rest2 = c1.gates[common:], c2.gates[common:]
     touched = {q for g in (*rest1, *rest2) for q in g.qubits}

@@ -17,7 +17,6 @@ from deadgate import (
     Opaque,
     SingleQubit,
     Swap,
-    bind_opaques,
     build_circuit,
     check_marginal_equiv,
     eliminate_dead_gates,
@@ -73,11 +72,10 @@ def test_criterion_1_three_qubit_fixture(tmp_path):
     assert all(r.rule == "R2_controlled_target_dead" for r in report.removed)
     survivors = [g.kind for g in optimized.gates]
     assert survivors == [Opaque("U_3", (0, 1, 2)), Opaque("W_1", (2,))]
-    bindings = bind_opaques([src.circuit], seed=BENCH_SEED)
     kept = kept_wires(src.circuit)
     verdict = check_marginal_equiv(
         src.circuit, optimized, kept, kept,
-        samples=20, seed=1, tol=1e-9, bindings=bindings,
+        samples=20, seed=1, tol=1e-9,
     )
     assert verdict.equivalent
     elapsed = time.perf_counter() - start
@@ -110,11 +108,10 @@ def test_criterion_3_qpe_fixture():
     assert len(report.removed) == 5  # m controlled rotations plus one Hadamard
     rules = [r.rule for r in report.removed]
     assert rules == ["R1_single_on_dead"] + ["R2_controlled_target_dead"] * 4
-    bindings = bind_opaques([src.circuit], seed=BENCH_SEED)
     kept = kept_wires(src.circuit)
     verdict = check_marginal_equiv(
         src.circuit, optimized, kept, kept,
-        samples=20, seed=2, tol=1e-9, bindings=bindings,
+        samples=20, seed=2, tol=1e-9,
     )
     assert verdict.equivalent
     print("\nACCEPTANCE 3: PASS - QPE m=4 drops 5 gates, oracle equivalent")
@@ -133,11 +130,8 @@ def test_criterion_4_theorem_property_suites():
         kinds = [Opaque("U", tuple(range(n))), SingleQubit("U3", qi, u3_params())]
         c1 = build_circuit(n, kinds, dead={qi})
         c2 = build_circuit(n, kinds[:1], dead={qi})
-        bindings = bind_opaques([c1], seed=(402, i))
         kept = kept_wires(c1)
-        verdict = check_marginal_equiv(
-            c1, c2, kept, kept, samples=1, seed=(403, i), tol=1e-9, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c1, c2, kept, kept, samples=1, seed=(403, i), tol=1e-9)
         assert verdict.equivalent, f"single-qubit instance {i}"
 
     for i in range(100):  # controlled gate targeting a dead wire
@@ -151,11 +145,8 @@ def test_criterion_4_theorem_property_suites():
         ]
         c1 = build_circuit(n, kinds, dead={target})
         c2 = build_circuit(n, kinds[:1], dead={target})
-        bindings = bind_opaques([c1], seed=(404, i))
         kept = kept_wires(c1)
-        verdict = check_marginal_equiv(
-            c1, c2, kept, kept, samples=1, seed=(405, i), tol=1e-9, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c1, c2, kept, kept, samples=1, seed=(405, i), tol=1e-9)
         assert verdict.equivalent, f"controlled instance {i} (nc={nc})"
 
     for i in range(100):  # SWAP with one dead endpoint, relabeled comparison
@@ -164,10 +155,9 @@ def test_criterion_4_theorem_property_suites():
         kinds = [Opaque("U", tuple(range(n))), Swap(qi, qj)]
         c1 = build_circuit(n, kinds, dead={qi})
         c2 = build_circuit(n, kinds[:1], dead={qj})
-        bindings = bind_opaques([c1], seed=(406, i))
         verdict = check_marginal_equiv(
             c1, c2, *paired_wires(c1, {qi: qj}),
-            samples=1, seed=(407, i), tol=1e-9, bindings=bindings,
+            samples=1, seed=(407, i), tol=1e-9,
         )
         assert verdict.equivalent, f"swap instance {i}"
 

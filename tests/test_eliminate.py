@@ -15,7 +15,6 @@ from deadgate import (
     RuleFlags,
     SingleQubit,
     Swap,
-    bind_opaques,
     build_circuit,
     check_marginal_equiv,
     eliminate_dead_gates,
@@ -191,12 +190,9 @@ class TestEliminate:
         assert [r.id for r in rep.removed] == [2, 1]
         assert opt.dead == {2}
         assert opt.outcome_map == (2, 0, 1)
-        bindings = bind_opaques([c], seed=17)
         valid = [1, 2]
         mapped = [opt.outcome_map[q] for q in valid]
-        verdict = check_marginal_equiv(
-            c, opt, valid, mapped, samples=10, seed=4, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c, opt, valid, mapped, samples=10, seed=4)
         assert verdict.equivalent
 
     def test_extension_flag_removes_all_dead_opaque(self):
@@ -208,11 +204,8 @@ class TestEliminate:
         opt_ext, rep_ext = eliminate_dead_gates(c, RuleFlags(extended=True))
         assert [r.id for r in rep_ext.removed] == [1]
         assert rep_ext.removed[0].rule == "R4_all_dead_unitary"
-        bindings = bind_opaques([c], seed=9)
         valid = [2]
-        verdict = check_marginal_equiv(
-            c, opt_ext, valid, valid, samples=10, seed=1, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c, opt_ext, valid, valid, samples=10, seed=1)
         assert verdict.equivalent
 
     def test_swap_relabel_oracle_checked(self):
@@ -223,12 +216,9 @@ class TestEliminate:
         opt, rep = eliminate_dead_gates(c)
         assert [r.rule for r in rep.removed] == ["R3_swap_relabel"]
         assert opt.dead == {1}
-        bindings = bind_opaques([c], seed=13)
         valid = [1, 2]
         mapped = [opt.outcome_map[q] for q in valid]
-        verdict = check_marginal_equiv(
-            c, opt, valid, mapped, samples=10, seed=2, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c, opt, valid, mapped, samples=10, seed=2)
         assert verdict.equivalent
 
 

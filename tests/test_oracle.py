@@ -221,6 +221,18 @@ class TestBindOpaques:
         with pytest.raises(CircuitError, match=self.ARITY):
             bind_opaques([c1, c2], seed=1)
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_each_label_bound_to_a_unitary(self, arity):
+        # the oracle applies the table as drawn: a zero or NaN matrix would
+        # make every marginal equal and read as equivalence
+        c = build_circuit(3, [Opaque("U", tuple(range(arity))), Opaque("V", (2,))])
+        table = bind_opaques([c], seed=arity)
+        assert sorted(table) == ["U", "V"]
+        for label, k in (("U", arity), ("V", 1)):
+            u = table[label]
+            assert u.shape == (2**k, 2**k)
+            assert np.allclose(u @ u.conj().T, np.eye(2**k), atol=1e-12)
+
     @pytest.mark.parametrize("arities, mib", [
         ((13,), 1024), ((12, 12, 1), 513), ((12, 12, 12), 768),
     ])
@@ -294,8 +306,7 @@ class TestCheckEquiv:
         from fixtures import vqe_ansatz
 
         c = vqe_ansatz().circuit
-        bindings = bind_opaques([c], seed=4)
-        verdict = check_kept(c, c, samples=5, seed=2, bindings=bindings)
+        verdict = check_kept(c, c, samples=5, seed=2)
         assert verdict.equivalent
         assert verdict.max_discrepancy == 0.0
 
@@ -329,34 +340,34 @@ class TestCheckEquiv:
         with pytest.raises(CircuitError, match=r"^21 qubits exceeds the cap of 20$"):
             check_marginal_equiv(wide, wide, [], [], cap=40)
 
-    H_U_VS_X_U = (
-        build_circuit(1, [SingleQubit("H", 0), Opaque("U", (0,))]),
-        build_circuit(1, [SingleQubit("X", 0), Opaque("U", (0,))]),
-    )
-
-    @pytest.mark.parametrize("u", [
-        np.zeros((2, 2)), np.full((2, 2), np.nan), 2 * np.eye(2),
-        np.eye(2) + 1e-8,
-    ], ids=["zeros", "nan", "twice_identity", "off_by_1e-8"])
-    def test_non_unitary_binding_refused(self, u):
-        # a zero or NaN binding would make every marginal equal (or NaN)
-        # and read as equivalence with no evidence
-        with pytest.raises(CircuitError, match=r"^binding for 'U' is not unitary$"):
-            check_marginal_equiv(*self.H_U_VS_X_U, [0], [0], bindings={"U": u})
-
-    def test_unitary_bindings_accepted(self):
-        haar = haar_unitary(2, np.random.default_rng(8))
-        for u in (haar, np.eye(2), [[0, 1], [1, 0]]):
-            got = check_marginal_equiv(*self.H_U_VS_X_U, [0], [0], bindings={"U": u})
-            assert not got.equivalent
-
-    def test_binds_opaques_from_seed_when_given_none(self):
+    def test_binds_opaques_from_its_seed(self):
+        # no shared start, so the oracle simulates both blocks on both
+        # wires, as the reference does
         c1 = build_circuit(2, [Opaque("U", (0, 1)), Opaque("V", (1,))])
-        c2 = build_circuit(2, [Opaque("U", (0, 1))])
-        bindings = bind_opaques([c1, c2], seed=5)
-        given = check_marginal_equiv(c1, c2, [0, 1], [0, 1], seed=5, bindings=bindings)
-        assert check_marginal_equiv(c1, c2, [0, 1], [0, 1], seed=5) == given
-        assert not given.equivalent
+        c2 = build_circuit(2, [Opaque("V", (1,)), Opaque("U", (0, 1))])
+        got = check_marginal_equiv(c1, c2, [0, 1], [0, 1], seed=5)
+        want, _ = reference_marginal_equiv(
+            c1, c2, [0, 1], [0, 1], seed=5, bindings=bind_opaques((c1, c2), 5)
+        )
+        assert not got.equivalent
+        assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
+        assert got.witness == want.witness
+
+    def test_bindings_keyword_refused(self):
+        # opaque blocks are bound from the oracle's own seed only
+        with pytest.raises(TypeError, match="bindings"):
+            check_marginal_equiv(*self.H_VS_X, [0], [0], bindings={})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("wires", [(0,), (0, 1)], ids=["one_wire", "two_wires"])
+    def test_drawn_block_after_differing_gate_caught(self, wires, seed):
+        # the shared block follows the differing gate, so it is bound and
+        # applied; whichever unitary the seed draws, H against X shows
+        c1 = build_circuit(2, [SingleQubit("H", 0), Opaque("U", wires)])
+        c2 = build_circuit(2, [SingleQubit("X", 0), Opaque("U", wires)])
+        got, _, whole = assert_matches_reference(c1, c2, [0, 1], [0, 1], samples=3, seed=seed)
+        assert not got.equivalent and not whole.equivalent
+        assert got.witness is not None
 
     @pytest.mark.parametrize("kwargs, message", [
         ({}, "13 qubits exceeds the cap of 12"),
@@ -388,19 +399,15 @@ class TestCheckEquivExtended:
         kinds = [Opaque("U", (0, 1, 2)), Swap(0, 1)]
         c1 = build_circuit(3, kinds, dead={0})
         c2 = build_circuit(3, kinds[:1], dead={1})
-        bindings = bind_opaques([c1], seed=6)
         wires1, wires2 = paired_wires(c1, {0: 1})
-        verdict = check_marginal_equiv(
-            c1, c2, wires1, wires2, samples=10, seed=3, bindings=bindings
-        )
+        verdict = check_marginal_equiv(c1, c2, wires1, wires2, samples=10, seed=3)
         assert verdict.equivalent
 
     def test_wrong_dead_set_caught(self):
         kinds = [Opaque("U", (0, 1, 2)), Swap(0, 1)]
         c1 = build_circuit(3, kinds, dead={0})
         c2 = build_circuit(3, kinds[:1], dead={0})
-        bindings = bind_opaques([c1], seed=6)
-        verdict = check_kept(c1, c2, samples=10, seed=3, bindings=bindings)
+        verdict = check_kept(c1, c2, samples=10, seed=3)
         assert not verdict.equivalent
 
     def test_identity_pairing_matches_check_equiv(self):
@@ -428,8 +435,7 @@ class TestTheoremProperties:
             kinds = [Opaque("U", tuple(range(n))), SingleQubit("U3", qi, random_u3_params(rng))]
             c1 = build_circuit(n, kinds, dead={qi})
             c2 = build_circuit(n, kinds[:1], dead={qi})
-            bindings = bind_opaques([c1], seed=(61, i))
-            assert check_kept(c1, c2, samples=2, seed=(62, i), bindings=bindings).equivalent
+            assert check_kept(c1, c2, samples=2, seed=(62, i)).equivalent
 
     def test_controlled_removal(self):
         rng = np.random.default_rng(71)
@@ -444,10 +450,7 @@ class TestTheoremProperties:
             ]
             c1 = build_circuit(n, kinds, dead={target})
             c2 = build_circuit(n, kinds[:1], dead={target})
-            bindings = bind_opaques([c1], seed=(71, i))
-            assert check_kept(
-                c1, c2, samples=2, seed=(72, i), bindings=bindings
-            ).equivalent
+            assert check_kept(c1, c2, samples=2, seed=(72, i)).equivalent
 
     def test_swap_removal(self):
         rng = np.random.default_rng(81)
@@ -457,10 +460,8 @@ class TestTheoremProperties:
             kinds = [Opaque("U", tuple(range(n))), Swap(qi, qj)]
             c1 = build_circuit(n, kinds, dead={qi})
             c2 = build_circuit(n, kinds[:1], dead={qj})
-            bindings = bind_opaques([c1], seed=(81, i))
             assert check_marginal_equiv(
-                c1, c2, *paired_wires(c1, {qi: qj}), samples=2, seed=(82, i),
-                bindings=bindings,
+                c1, c2, *paired_wires(c1, {qi: qj}), samples=2, seed=(82, i)
             ).equivalent
 
     def test_counterexample_fails(self):
@@ -474,8 +475,7 @@ class TestTheoremProperties:
         ]
         c1 = build_circuit(2, kinds, dead={0})
         c2 = build_circuit(2, [kinds[0], kinds[2]], dead={0})
-        bindings = bind_opaques([c1], seed=92)
-        verdict = check_kept(c1, c2, samples=20, seed=93, bindings=bindings)
+        verdict = check_kept(c1, c2, samples=20, seed=93)
         assert not verdict.equivalent
 
 
@@ -526,7 +526,7 @@ def oracle_pairs(draw):
     return c1, c2, wires1, wires2
 
 
-def outcome_gaps(c1, c2, wires1, wires2, sample, bindings=None) -> np.ndarray:
+def outcome_gaps(c1, c2, wires1, wires2, sample, bindings) -> np.ndarray:
     """Per-outcome gaps of one seeded sample, each circuit simulated whole."""
     amps = random_state(c1.n, seed=sample)
     p1 = marginal(simulate(c1, amps, bindings), c1.n, wires1)
@@ -542,10 +542,12 @@ _CLEAR_OF_TOL = 1e3
 def assert_matches_reference(c1, c2, wires1, wires2, **kwargs):
     """The oracle against the per-sample reference: (a) run on the reduced
     circuits, the worst gap and witness to rounding; (b) run on the whole
-    circuits, the verdict. Returns (oracle, reduced, whole) verdicts."""
+    circuits, the verdict. Both references bind opaque blocks to the
+    table the oracle draws. Returns (oracle, reduced, whole) verdicts."""
     got = check_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    bindings = bind_opaques((c1, c2), kwargs.get("seed", 0))
     r1, r2, rw1, rw2, kept = reduced_pair(c1, c2, wires1, wires2)
-    want, sample_gaps = reference_marginal_equiv(r1, r2, rw1, rw2, **kwargs)
+    want, sample_gaps = reference_marginal_equiv(r1, r2, rw1, rw2, bindings=bindings, **kwargs)
     assert got.equivalent == want.equivalent
     assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
     if got.witness is not None:
@@ -553,14 +555,14 @@ def assert_matches_reference(c1, c2, wires1, wires2, **kwargs):
         # one character per compared position, x where it was not simulated
         assert len(bits) == len(wires1)
         assert [k for k, b in enumerate(bits) if b != "x"] == kept
-        gaps = outcome_gaps(r1, r2, rw1, rw2, sample, kwargs.get("bindings"))
+        gaps = outcome_gaps(r1, r2, rw1, rw2, sample, bindings)
         assert gaps[outcome(bits.replace("x", ""))] >= gaps.max() - 1e-12
     top = sorted(sample_gaps, reverse=True)[:2]
     if len(top) == 1 or top[0] - top[1] > 1e-12:
         assert (got.witness is None) == (want.witness is None)
         if got.witness is not None:
             assert got.witness[0] == want.witness[0]
-    whole, _ = reference_marginal_equiv(c1, c2, wires1, wires2, **kwargs)
+    whole, _ = reference_marginal_equiv(c1, c2, wires1, wires2, bindings=bindings, **kwargs)
     tol = kwargs.get("tol", 1e-9)
     if not tol / _CLEAR_OF_TOL < whole.max_discrepancy < tol * _CLEAR_OF_TOL:
         assert got.equivalent == whole.equivalent
@@ -640,10 +642,7 @@ class TestBatchedOracle:
     @given(pair=oracle_pairs(), samples=st.integers(1, 25), seed=st.integers(0, 2**16))
     def test_matches_reference(self, pair, samples, seed):
         c1, c2, wires1, wires2 = pair
-        bindings = bind_opaques([c1, c2], seed=seed)
-        assert_matches_reference(
-            c1, c2, wires1, wires2, samples=samples, seed=seed, bindings=bindings
-        )
+        assert_matches_reference(c1, c2, wires1, wires2, samples=samples, seed=seed)
 
     @pytest.mark.parametrize("n, batches", [
         (10, [4, 4, 1]), (11, [2, 2, 2, 2, 1]), (12, [1] * 9),
@@ -712,16 +711,15 @@ class TestBatchedOracle:
         )
         original = build_circuit(2, [u, cu, w], dead={0})
         removed = build_circuit(2, [u, w], dead={0})
-        bindings = bind_opaques([original], seed=92)
         assert oracle._common_prefix(original.gates, removed.gates) == 1
         got, _, whole = assert_matches_reference(
-            original, removed, [1], [1], samples=20, seed=93, bindings=bindings
+            original, removed, [1], [1], samples=20, seed=93
         )
         assert not got.equivalent and not whole.equivalent
         # "kept gates, then removed gates" would simulate the removed gate
         # last, on the frontier, and hide the error
         shortcut = build_circuit(2, [u, w, cu], dead={0})
-        assert check_kept(shortcut, removed, samples=20, seed=93, bindings=bindings).equivalent
+        assert check_kept(shortcut, removed, samples=20, seed=93).equivalent
 
     def test_no_common_prefix(self):
         c1 = build_circuit(2, [SingleQubit("X", 1), SingleQubit("H", 0)], dead={1})
@@ -777,26 +775,20 @@ class TestBatchedOracle:
         same = check_marginal_equiv(c, c, wires1, wires1, samples=5, seed=1)
         assert same.equivalent and same.max_discrepancy == 0.0
 
-    @pytest.mark.parametrize("bindings, message", [
-        ({}, "opaque block 'U' has no bound unitary"),
-        ({"U": np.eye(2)}, "binding for 'U' has shape (2, 2), expected (4, 4)"),
-    ], ids=["unbound", "wrong_shape"])
     @pytest.mark.parametrize("tail", [[SingleQubit("H", 0)], []], ids=["prefix", "whole"])
-    def test_opaque_in_skipped_prefix_still_checked(self, bindings, message, tail):
-        kinds = [Opaque("U", (0, 1)), SingleQubit("T", 1)]
+    def test_opaque_arity_in_skipped_prefix_still_checked(self, tail):
+        # both uses of U lie in the shared start, which is never simulated
+        kinds = [Opaque("U", (0, 1)), SingleQubit("T", 1), Opaque("U", (1,))]
         c1 = build_circuit(2, kinds + tail)
         c2 = build_circuit(2, kinds)
-        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
-            check_marginal_equiv(c1, c2, [0, 1], [0, 1], bindings=bindings)
+        with pytest.raises(CircuitError, match=r"^opaque label 'U' used with inconsistent arity$"):
+            check_marginal_equiv(c1, c2, [0, 1], [0, 1])
 
     @pytest.mark.parametrize("pair", fixture_pairs(), ids=lambda pair: pair[0])
     def test_fixture_pairs_agree_with_whole_reference(self, pair):
         _, a, b, verdict = pair
         wires_a, wires_b = kept_bit_wires(a, b)
-        bindings = bind_opaques([a.circuit, b.circuit], seed=11)
-        got, _, whole = assert_matches_reference(
-            a.circuit, b.circuit, wires_a, wires_b, seed=11, bindings=bindings
-        )
+        got, _, whole = assert_matches_reference(a.circuit, b.circuit, wires_a, wires_b, seed=11)
         assert got.equivalent == whole.equivalent
         if verdict is not None:
             assert got.equivalent == verdict
@@ -806,7 +798,7 @@ class TestBatchedOracle:
     def test_bench_pairs_and_mutants(self, pair, seed):
         original, other, wires1, wires2, drop = pair
         got, _, whole = assert_matches_reference(
-            original, other, wires1, wires2, samples=10, seed=seed, bindings={}
+            original, other, wires1, wires2, samples=10, seed=seed
         )
         assert got.equivalent == whole.equivalent
         if not drop:
