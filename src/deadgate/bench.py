@@ -117,8 +117,8 @@ class BenchConfig:
 
 class DrawnGates:
     """Read-only gate sequence over a kind function: gate i is
-    `Gate(i, kind(i))` for i below `stop`, then come the gates of `tail`,
-    a tuple.
+    `Gate(kind(i))` for i below `stop`, then come the gates of `tail`, a
+    tuple.
 
     A gate is built each time its index is read, so a pass that walks
     only the tail never builds the rest. `[:k]` and `+ tuple` give
@@ -141,7 +141,7 @@ class DrawnGates:
 
     def _at(self, i: int) -> Gate:
         if i < self._stop:
-            return Gate(i, self._kind(i))
+            return Gate(self._kind(i))
         return self._tail[i - self._stop]
 
     def __getitem__(self, index):
@@ -191,8 +191,8 @@ def random_circuit(
     All gates are drawn at once, as six arrays, every wire in range by
     construction: a two-qubit gate's second wire is its first shifted by
     1 to w-1 modulo w. The gates are a `DrawnGates` over one function
-    that reads gate i's kind from the arrays, so each `Gate` is built
-    only where its index is read."""
+    that reads gate i's kind from the arrays, so gate i is built, as
+    `Gate(kind(i))`, only where its index is read."""
     if w < 2 and not fraction_1q >= 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)

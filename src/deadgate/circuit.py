@@ -4,8 +4,8 @@ A circuit is an ordered list of gates over n wires plus the set of dead
 wires (wires whose measurement outcome is discarded) and an outcome map
 (label -> physical wire, identity until SWAP removals relabel wires).
 Program order is the canonical representation; the wire-induced DAG is
-derived, never stored. Gate ids are assigned at construction and never
-reused, so reports stay stable across removals.
+derived, never stored. A gate carries no id: the pass names each gate
+it removes by its position in the pass's input.
 """
 
 from __future__ import annotations
@@ -181,13 +181,12 @@ def _check_kind(kind: GateKind, n: int) -> None:
 
 @dataclass(slots=True)
 class Gate:
-    """One circuit element: a stable id plus its kind.
+    """One circuit element: its kind.
 
     `qubits` is derived from the kind once, at construction: the pass's
     walk and the oracle's compile step read it as a plain attribute.
     """
 
-    id: int
     kind: GateKind
     qubits: tuple[int, ...] = field(init=False)
 
@@ -202,9 +201,9 @@ class Circuit:
     `gates` is any read-only sequence of gates with `len`, indexing,
     slicing, `reversed` and equality against tuples: a tuple for parsed
     and built circuits, a lazily built sequence for the bench generator's.
-    Treated as immutable: passes return new circuits. Gates may share one
-    kind object (a parse gives every repeat of a statement the same one),
-    so a kind is never changed in place.
+    Treated as immutable: passes return new circuits. A gate object may
+    stand at several positions (a parse gives every repeat of a statement
+    the same one), so neither a gate nor its kind is changed in place.
     """
 
     n: int
@@ -220,11 +219,8 @@ class Circuit:
 
 
 def build_circuit(n: int, kinds, dead=()) -> Circuit:
-    """Build a circuit from gate kinds in program order.
-
-    Ids are assigned 0,1,2,... in input order; the outcome map starts as
-    the identity.
-    """
+    """Build a circuit from gate kinds in program order; the outcome map
+    starts as the identity."""
     if n < 0:
         raise CircuitError("qubit count must be non-negative")
     dead_set = frozenset(dead)
@@ -232,7 +228,7 @@ def build_circuit(n: int, kinds, dead=()) -> Circuit:
         if not 0 <= q < n:
             raise CircuitError(f"dead qubit q[{q}] out of range")
     gates = []
-    for i, kind in enumerate(kinds):
+    for kind in kinds:
         _check_kind(kind, n)
-        gates.append(Gate(i, kind))
+        gates.append(Gate(kind))
     return Circuit(n, tuple(gates), dead_set, tuple(range(n)))

@@ -11,7 +11,7 @@ Removal rules, applied only to frontier gates:
 The result is defined by a frontier sweep: sweep the frontier repeatedly
 until a sweep removes nothing (that final empty sweep is included in the
 iteration count). Within a sweep, the frontier snapshot taken at sweep
-start is examined in ascending gate id; gates that newly enter the
+start is examined in ascending position; gates that newly enter the
 frontier mid-sweep wait for the next sweep.
 
 The pass computes that result in one walk from the last gate back to the
@@ -134,8 +134,10 @@ def _relabel_after_swap(
 def eliminate_dead_gates(
     c: Circuit, flags: RuleFlags = RuleFlags()
 ) -> tuple[Circuit, OptimizationReport]:
-    """Remove dead gates; returns the optimized circuit and a report."""
+    """Remove dead gates; returns the optimized circuit and a report that
+    names each removed gate by its position in `c.gates`."""
     n = c.n
+    n0 = len(c.gates)
     blocked = bytearray(n)
     unblocked = n
     # latest removal sweep among the gates walked on each wire, 0 if none
@@ -158,7 +160,8 @@ def eliminate_dead_gates(
                     wire_sweep[q] = entry
                 if rule is RemovalRule.R3:
                     dead, outcome_map = _relabel_after_swap(kind, dead, outcome_map)
-                removed.append((entry, g.id, RemovedGate(g.id, kind.summary(), rule.value)))
+                i = n0 - walked
+                removed.append((entry, i, RemovedGate(i, kind.summary(), rule.value)))
                 continue
             kept_entries.append(entry)
         # a kept gate blocks every earlier gate on its wires
@@ -176,9 +179,8 @@ def eliminate_dead_gates(
     # kept frontier gate is checked in every sweep from its entry on
     gate_checks = len(removed) + sum(iterations - e + 1 for e in kept_entries)
     # every removed gate lies in the walked tail
-    gates = c.gates[: len(c.gates) - walked] + tuple(reversed(kept))
+    gates = c.gates[: n0 - walked] + tuple(reversed(kept))
 
-    n0 = len(c.gates)
     assert gate_checks <= n0 * (n0 + 1), "quadratic sweep bound violated"
     report = OptimizationReport(
         removed=[r for _, _, r in removed],

@@ -206,18 +206,19 @@ class _Parser:
         self.n = 0
         self.creg: str | None = None
         self.creg_size = 0
-        self.gate_kinds: list[GateKind] = []  # one per gate statement, in order
+        self.gates: list[Gate] = []  # one per gate statement, in order
         self.measures: list[tuple[int, int]] = []
         self.used_clbits: set[int] = set()
         self.measured_wires: set[int] = set()
         self.discards: set[int] = set()
         self.opaque_decls: dict[str, int] = {}
         # What this parse has already read, keyed on its text: gate
-        # statements, qubit references and angles. Only successes are
-        # kept, so an error is raised where its text first fails. The
-        # qreg, its width and each declared name are fixed once read, so
-        # a text seen again reads as it did the first time.
-        self.kinds: dict[str, GateKind] = {}
+        # statements (their gate, which every repeat reuses), qubit
+        # references and angles. Only successes are kept, so an error is
+        # raised where its text first fails. The qreg, its width and each
+        # declared name are fixed once read, so a text seen again reads as
+        # it did the first time.
+        self.known: dict[str, Gate] = {}
         self.refs: dict[str, int] = {}
         self.angles: dict[str, float] = {}
 
@@ -244,10 +245,10 @@ class _Parser:
         if not _HEADER.fullmatch(stmt):
             raise QasmError(lineno, "first statement must be 'OPENQASM 2.0;'")
         for lineno, stmt in statements:
-            kind = self.kinds.get(stmt)
+            gate = self.known.get(stmt)
             # after a measure, a gate is refused on its own line below
-            if kind is not None and not self.measures:
-                self.gate_kinds.append(kind)
+            if gate is not None and not self.measures:
+                self.gates.append(gate)
                 continue
             m = _GATE.match(stmt)
             word = m and m[1]
@@ -266,9 +267,8 @@ class _Parser:
             lines = text.count("\n") + (not text.endswith("\n"))
             raise QasmError(lines, "missing qreg declaration")
         dead = (frozenset(range(self.n)) - self.measured_wires) | self.discards
-        gates = tuple(map(Gate, range(len(self.gate_kinds)), self.gate_kinds))
         return SourceCircuit(
-            circuit=Circuit(self.n, gates, dead, tuple(range(self.n))),
+            circuit=Circuit(self.n, tuple(self.gates), dead, tuple(range(self.n))),
             measures=tuple(self.measures),
             opaque_decls=dict(self.opaque_decls),
             qreg=self.qreg,
@@ -380,8 +380,8 @@ class _Parser:
             raise QasmError(lineno, f"unknown gate {name!r}")
         if len(set(args)) != len(args):
             raise QasmError(lineno, f"duplicate qubit in {name}")
-        self.kinds[stmt] = kind
-        self.gate_kinds.append(kind)
+        gate = self.known[stmt] = Gate(kind)
+        self.gates.append(gate)
 
 
 def parse(text: str) -> SourceCircuit:
@@ -407,9 +407,9 @@ def serialize(sc: SourceCircuit) -> str:
     for label in sorted(sc.opaque_decls):
         formals = ",".join(f"p{i}" for i in range(sc.opaque_decls[label]))
         lines.append(f"opaque {label} {formals};")
-    # id -> (kind, statement): parsed gates share the kind of a repeated
-    # statement, and holding the kind keeps its id from being reused
-    # while the call runs
+    # id -> (kind, statement): a parse gives the repeats of a statement
+    # one gate, so one kind, and holding the kind keeps its id from being
+    # reused while the call runs
     done: dict[int, tuple[GateKind, str]] = {}
     for g in c.gates:
         kind = g.kind

@@ -2,12 +2,16 @@
 
 `sweep_eliminate` is the definition `deadgate.eliminate` documents: sweep
 the frontier until a sweep removes nothing, examining each sweep's
-snapshot in ascending gate id. It rebuilds the frontier on every sweep, so
+snapshot in ascending position. It rebuilds the frontier on every sweep, so
 it is quadratic in the length of a dead chain; the tests compare
 `eliminate_dead_gates` with it. Its rule check and SWAP relabel are its
 own, written from the R1-R4 table in that module's docstring, so a rule
-error in the pass shows as a difference. The single-step helpers below
-(frontier, rule check, one removal, gate lookups) are used only by tests.
+error in the pass shows as a difference. It numbers each gate by its
+position in its input itself, in `(position, gate)` pairs, so it keys on
+no gate object: one gate object may stand at several positions. The
+single-step helpers below (frontier, rule check, one removal, gate
+lookups) are used only by tests and name a gate by its position in the
+circuit they are given.
 """
 
 from __future__ import annotations
@@ -45,19 +49,20 @@ def relabel(kind: Swap, dead: frozenset[int], outcome_map: tuple[int, ...]):
     return dead ^ ends, tuple(exchange.get(w, w) for w in outcome_map)
 
 
-def frontier(c: Circuit) -> set[int]:
-    """Ids of gates that are last on every wire they touch."""
-    seen = bytearray(c.n)
-    unseen = c.n
+def numbered_frontier(n: int, numbered: list[tuple[int, Gate]]) -> set[int]:
+    """Numbers of the gates in `numbered`, `(number, gate)` pairs in
+    program order over n wires, that are last on every wire they touch."""
+    seen = bytearray(n)
+    unseen = n
     out: set[int] = set()
-    for g in reversed(c.gates):
+    for i, g in reversed(numbered):
         fresh = True
         for q in g.qubits:
             if seen[q]:
                 fresh = False
                 break
         if fresh:
-            out.add(g.id)
+            out.add(i)
         for q in g.qubits:
             if not seen[q]:
                 seen[q] = 1
@@ -67,51 +72,57 @@ def frontier(c: Circuit) -> set[int]:
     return out
 
 
-def gate(c: Circuit, gid: int) -> Gate:
-    for g in c.gates:
-        if g.id == gid:
-            return g
-    raise CircuitError(f"no gate with id {gid}")
+def frontier(c: Circuit) -> set[int]:
+    """Positions of gates that are last on every wire they touch."""
+    return numbered_frontier(c.n, list(enumerate(c.gates)))
+
+
+def gate(c: Circuit, pos: int) -> Gate:
+    """The gate at position `pos`."""
+    if not 0 <= pos < len(c.gates):
+        raise CircuitError(f"no gate at position {pos}")
+    return c.gates[pos]
 
 
 def last_gate_on_wire(c: Circuit, q: int) -> int | None:
-    """Id of the program-latest gate touching wire q, or None."""
+    """Position of the program-latest gate touching wire q, or None."""
     if not 0 <= q < c.n:
         raise CircuitError(f"qubit q[{q}] out of range for {c.n}-qubit circuit")
-    for g in reversed(c.gates):
+    for i, g in reversed(list(enumerate(c.gates))):
         if q in g.qubits:
-            return g.id
+            return i
     return None
 
 
-def remove_gate(c: Circuit, gid: int) -> Circuit:
-    """Copy of the circuit without gate `gid`; dead set and map unchanged."""
-    kept = tuple(g for g in c.gates if g.id != gid)
-    if len(kept) == len(c.gates):
-        raise CircuitError(f"no gate with id {gid}")
+def remove_gate(c: Circuit, pos: int) -> Circuit:
+    """Copy of the circuit without the gate at position `pos`, so each later
+    gate moves down one position; dead set and map unchanged."""
+    gate(c, pos)  # refuses a position with no gate
+    kept = tuple(g for i, g in enumerate(c.gates) if i != pos)
     return Circuit(c.n, kept, c.dead, c.outcome_map)
 
 
 def is_dead_gate(
-    c: Circuit, gid: int, flags: RuleFlags = RuleFlags()
+    c: Circuit, pos: int, flags: RuleFlags = RuleFlags()
 ) -> RemovalRule | None:
-    """Rule under which frontier gate `gid` is removable, or None."""
-    if gid not in frontier(c):
-        raise CircuitError(f"gate {gid} is not in the frontier")
-    return match_rule(gate(c, gid).kind, c.dead, flags)
+    """Rule under which frontier gate `pos` is removable, or None."""
+    if pos not in frontier(c):
+        raise CircuitError(f"gate {pos} is not in the frontier")
+    return match_rule(gate(c, pos).kind, c.dead, flags)
 
 
-def apply_removal(c: Circuit, gid: int, rule: RemovalRule) -> Circuit:
-    """Remove `gid`, updating dead set and outcome map when R3 demands it."""
-    actual = is_dead_gate(c, gid)
+def apply_removal(c: Circuit, pos: int, rule: RemovalRule) -> Circuit:
+    """Remove the gate at position `pos`, updating dead set and outcome map
+    when R3 demands it."""
+    actual = is_dead_gate(c, pos)
     if actual is None and rule is RemovalRule.R4:
-        actual = is_dead_gate(c, gid, RuleFlags(extended=True))
+        actual = is_dead_gate(c, pos, RuleFlags(extended=True))
     if actual is not rule:
         raise CircuitError(
-            f"gate {gid} does not match rule {rule.value} (got {actual})"
+            f"gate {pos} does not match rule {rule.value} (got {actual})"
         )
-    kind = gate(c, gid).kind
-    out = remove_gate(c, gid)
+    kind = gate(c, pos).kind
+    out = remove_gate(c, pos)
     if rule is RemovalRule.R3:
         dead, outcome_map = relabel(kind, out.dead, out.outcome_map)
         out = Circuit(out.n, out.gates, dead, outcome_map)
@@ -121,8 +132,9 @@ def apply_removal(c: Circuit, gid: int, rule: RemovalRule) -> Circuit:
 def sweep_eliminate(
     c: Circuit, flags: RuleFlags = RuleFlags()
 ) -> tuple[Circuit, OptimizationReport]:
-    """Run the removal fixpoint; returns the optimized circuit and a report."""
-    gates: list[Gate] = list(c.gates)
+    """Run the removal fixpoint; returns the optimized circuit and a report
+    that names each removed gate by its position in `c.gates`."""
+    numbered = list(enumerate(c.gates))  # (position in c.gates, gate)
     dead = c.dead
     outcome_map = c.outcome_map
     removed: list[RemovedGate] = []
@@ -131,23 +143,24 @@ def sweep_eliminate(
 
     while True:
         iterations += 1
-        snapshot = sorted(frontier(Circuit(c.n, tuple(gates), dead, outcome_map)))
+        snapshot = sorted(numbered_frontier(c.n, numbered))
         dropped: set[int] = set()
-        by_id = {g.id: g for g in gates}
-        for gid in snapshot:
+        by_position = dict(numbered)
+        for pos in snapshot:
             gate_checks += 1
-            kind = by_id[gid].kind
+            kind = by_position[pos].kind
             rule = match_rule(kind, dead, flags)
             if rule is None:
                 continue
-            dropped.add(gid)
+            dropped.add(pos)
             if rule is RemovalRule.R3:
                 dead, outcome_map = relabel(kind, dead, outcome_map)
-            removed.append(RemovedGate(gid, kind.summary(), rule.value))
+            removed.append(RemovedGate(pos, kind.summary(), rule.value))
         if not dropped:
             break
-        gates = [g for g in gates if g.id not in dropped]
+        numbered = [(i, g) for i, g in numbered if i not in dropped]
 
+    gates = tuple(g for _, g in numbered)
     n0 = len(c.gates)
     assert gate_checks <= n0 * (n0 + 1), "quadratic sweep bound violated"
     report = OptimizationReport(
@@ -159,7 +172,7 @@ def sweep_eliminate(
         outcome_map=list(outcome_map),
         gate_checks=gate_checks,
     )
-    return Circuit(c.n, tuple(gates), dead, outcome_map), report
+    return Circuit(c.n, gates, dead, outcome_map), report
 
 
 def complexity_probe(

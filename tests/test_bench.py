@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collections import Counter
-
 import deadgate
 from deadgate import (
     Circuit, Controlled, Gate, RuleFlags, SingleQubit, Swap, build_circuit,
@@ -145,9 +143,9 @@ class TestLazyMatchesEager:
         c = Circuit(40, c.gates, dead, c.outcome_map)
         built = []
 
-        def spy(i, kind):
-            built.append(i)
-            return real_gate(i, kind)
+        def spy(kind):
+            built.append(kind)
+            return real_gate(kind)
 
         real_gate = bench.Gate
         monkeypatch.setattr(bench, "Gate", spy)
@@ -155,18 +153,17 @@ class TestLazyMatchesEager:
         monkeypatch.undo()
         walked = walked_count(c, report)
         assert 0 < walked < 200
-        # each walked gate is built once, by the walk, and no gate before
-        # the walked tail is built at all
-        assert Counter(built) == {i: 1 for i in range(4000 - walked, 4000)}
-        assert len(built) == walked
+        # each walked gate is built once, by the walk, last gate first, and
+        # no gate before the walked tail is built at all
+        assert built == [c.gates[i].kind for i in range(3999, 3999 - walked, -1)]
 
 
     def test_spot_verify_reads_only_past_the_shared_start(self, monkeypatch):
         built = []
 
-        def spy(i, kind):
-            built.append(i)
-            return real_gate(i, kind)
+        def spy(kind):
+            built.append(kind)
+            return real_gate(kind)
 
         real_gate = bench.Gate
         # block 0 removes nothing, block 2 removes gates 997 and 998
@@ -183,9 +180,8 @@ class TestLazyMatchesEager:
                 patch.setattr(bench, "Gate", spy)
                 bench._spot_verify(c, optimized, report, seed=(*root, 3))
             # no gate before the first removal is built, since the pass
-            # keeps those in place, and each one from it on at most twice
-            assert sorted(set(built)) == list(range(first, len(c.gates)))
-            assert max(Counter(built).values(), default=0) <= 2
+            # keeps those in place, and each one from it on once, in order
+            assert built == [c.gates[i].kind for i in range(first, len(c.gates))]
 
 
 def walked_count(c: Circuit, report) -> int:
@@ -194,11 +190,11 @@ def walked_count(c: Circuit, report) -> int:
     removed = {r.id for r in report.removed}
     blocked: set[int] = set()
     walked = 0
-    for g in reversed(tuple(c.gates)):
+    for i, g in reversed(tuple(enumerate(c.gates))):
         if len(blocked) == c.n:
             break
         walked += 1
-        if g.id not in removed:
+        if i not in removed:
             blocked.update(g.qubits)
     return walked
 
@@ -258,7 +254,7 @@ class TestSpotVerifyTails:
             # an X appended on a kept wire's outcome wire: past the first
             # removal, so the tails differ as the whole circuits do
             kept_wire = optimized.outcome_map[min(set(range(w)) - dead)]
-            flip = Gate(len(optimized.gates), SingleQubit("X", kept_wire))
+            flip = Gate(SingleQubit("X", kept_wire))
             broken = dataclasses.replace(optimized, gates=optimized.gates + (flip,))
             whole = whole_verdict(c, broken, (*root, 3))
             if whole.equivalent:

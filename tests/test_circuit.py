@@ -31,12 +31,13 @@ def fig2_kinds():
 
 
 def brute_frontier(c: Circuit) -> set[int]:
-    """Oracle: a gate is frontier iff no later gate shares a wire with it."""
+    """Oracle: the gate at position i is frontier iff no later gate shares a
+    wire with it."""
     out = set()
     for i, g in enumerate(c.gates):
         qs = set(g.qubits)
         if all(qs.isdisjoint(h.qubits) for h in c.gates[i + 1 :]):
-            out.add(g.id)
+            out.add(i)
     return out
 
 
@@ -46,7 +47,7 @@ class TestBuildCircuit:
         assert len(c.gates) == 2
         assert c.dead == {0}
         assert c.outcome_map == (0, 1)
-        assert [g.id for g in c.gates] == [0, 1]
+        assert [g.kind for g in c.gates] == [SingleQubit("H", 0), SingleQubit("H", 1)]
 
     def test_empty(self):
         c = build_circuit(1, [], dead=())
@@ -129,19 +130,19 @@ class TestFrontier:
 
     def test_frontier_gates_are_last_on_their_wires(self):
         c = build_circuit(3, fig2_kinds())
-        for gid in frontier(c):
-            for q in gate(c, gid).qubits:
-                assert last_gate_on_wire(c, q) == gid
-        for g in c.gates:
-            if g.id not in frontier(c):
-                assert any(last_gate_on_wire(c, q) != g.id for q in g.qubits)
+        for pos in frontier(c):
+            for q in gate(c, pos).qubits:
+                assert last_gate_on_wire(c, q) == pos
+        for i, g in enumerate(c.gates):
+            if i not in frontier(c):
+                assert any(last_gate_on_wire(c, q) != i for q in g.qubits)
 
 
 class TestRemoveGate:
     def test_remove_preserves_order(self):
         c = build_circuit(3, fig2_kinds())
         c2 = remove_gate(c, 4)
-        assert [g.id for g in c2.gates] == [0, 1, 2, 3]
+        assert [g.kind for g in c2.gates] == fig2_kinds()[:4]
         assert c2.dead == c.dead
         assert c2.outcome_map == c.outcome_map
 
@@ -149,7 +150,7 @@ class TestRemoveGate:
         c = build_circuit(1, [SingleQubit("H", 0)])
         assert remove_gate(c, 0).gates == ()
 
-    def test_remove_unknown_id(self):
+    def test_remove_unknown_position(self):
         c = build_circuit(2, [SingleQubit("H", 0)] * 3)
         with pytest.raises(CircuitError):
             remove_gate(c, 99)
@@ -164,17 +165,16 @@ class TestRemoveGate:
             ],
         )
         while c.gates:
-            gid = sorted(frontier(c))[0]
-            c = remove_gate(c, gid)
+            c = remove_gate(c, sorted(frontier(c))[0])
             rebuilt = build_circuit(4, [g.kind for g in c.gates])
-            by_position = {i for i, g in enumerate(c.gates) if g.id in frontier(c)}
-            assert by_position == frontier(rebuilt)
+            assert frontier(c) == frontier(rebuilt)
 
-    def test_ids_stable_after_removals(self):
-        c = build_circuit(3, fig2_kinds())
+    def test_later_gates_move_down_after_removals(self):
+        kinds = fig2_kinds()
+        c = build_circuit(3, kinds)
         c = remove_gate(c, 1)
-        c = remove_gate(c, 3)
-        assert [g.id for g in c.gates] == [0, 2, 4]
+        c = remove_gate(c, 2)  # the gate first at position 3
+        assert [g.kind for g in c.gates] == [kinds[0], kinds[2], kinds[4]]
 
 
 class TestLastGateOnWire:
@@ -194,7 +194,7 @@ class TestLastGateOnWire:
     def test_per_wire_order_total(self):
         c = build_circuit(3, fig2_kinds())
         for q in range(3):
-            touching = [g.id for g in c.gates if q in g.qubits]
+            touching = [i for i, g in enumerate(c.gates) if q in g.qubits]
             assert touching == sorted(touching)
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deadgate import (
@@ -22,7 +22,9 @@ from deadgate import (
 from deadgate.bench import DeadMode, random_circuit, select_dead
 from deadgate.circuit import BASE_PARAMS
 from deadgate.eliminate import RemovedGate
+from deadgate.qasm import parse
 
+from helpers import programs
 from sweep_reference import (
     apply_removal,
     complexity_probe,
@@ -114,7 +116,7 @@ class TestEliminate:
         opt, rep = eliminate_dead_gates(c)
         assert [r.id for r in rep.removed] == [4, 3, 1]
         assert all(r.rule == "R2_controlled_target_dead" for r in rep.removed)
-        assert [g.id for g in opt.gates] == [0, 2]
+        assert [g.kind for g in opt.gates] == [fig2_kinds()[0], fig2_kinds()[2]]
         assert rep.iterations == 4  # three removing sweeps plus the empty one
         assert rep.initial_gate_count - rep.final_gate_count == len(rep.removed)
 
@@ -318,9 +320,63 @@ class TestLinearPassMatchesSweep:
         assert [r.id for r in rep.removed] == list(range(g, 0, -1))
         assert rep.iterations == g + 1
         assert rep.gate_checks == g + (g + 1)
-        assert [gt.id for gt in opt.gates] == [0]
+        assert [gt.kind for gt in opt.gates] == [SingleQubit("H", 1)]
         if g <= 64:
             assert_matches_sweep(c, RuleFlags())
+
+
+def assert_ids_are_positions(c: Circuit, report: OptimizationReport) -> None:
+    """Each removal's id is the position in `c.gates` of the gate it names."""
+    for r in report.removed:
+        assert c.gates[r.id].kind.summary() == r.gate, r
+
+
+@st.composite
+def bench_circuits(draw) -> Circuit:
+    """A bench generator circuit at width 2-40 with a drawn dead set."""
+    w = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**16))
+    c = random_circuit(w, draw(st.sampled_from((5, 20))) * w, 0.1, seed=(seed, 1))
+    dead = select_dead(w, DeadMode("fixed", draw(st.integers(1, w - 1))), seed=(seed, 2))
+    return with_dead(c, dead)
+
+
+# a first pass whose output a second pass, with other flags, removes more of
+SECOND_PASSES = [
+    (RuleFlags(), RuleFlags(extended=True)),
+    (RuleFlags(swap_relabel=False), RuleFlags()),
+]
+
+
+class TestReportIdsArePositions:
+    """A report names each removed gate by its position in the circuit the
+    pass was given, whether that circuit was built, parsed, generated or
+    returned by an earlier pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=dead_circuits() | bench_circuits(), flags=st.sampled_from(ALL_FLAGS))
+    def test_built_and_generated_circuits(self, c, flags):
+        assert_ids_are_positions(c, eliminate_dead_gates(c, flags)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=programs(), flags=st.sampled_from(ALL_FLAGS))
+    def test_parsed_programs(self, text, flags):
+        c = parse(text).circuit
+        assert_ids_are_positions(c, eliminate_dead_gates(c, flags)[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=dead_circuits() | bench_circuits(), passes=st.sampled_from(SECOND_PASSES))
+    # the first pass removes gate 0, and the second gate 1, now at position 0
+    @example(c=build_circuit(2, [SingleQubit("H", 1), Opaque("B", (0,))], dead={0, 1}),
+             passes=SECOND_PASSES[0])
+    @example(c=build_circuit(3, [SingleQubit("H", 0), Swap(1, 2)], dead={0, 2}),
+             passes=SECOND_PASSES[1])
+    def test_second_pass_on_a_pass_output(self, c, passes):
+        first, second = passes
+        once, _ = eliminate_dead_gates(c, first)
+        _, report = eliminate_dead_gates(once, second)
+        assert_ids_are_positions(once, report)
+        assert_matches_sweep(once, second)
 
 
 def dumped_report(report: OptimizationReport) -> str:
