@@ -20,7 +20,8 @@ front, from the arrays `generator_draws` redraws: the reference for its
 lazily built gate sequence. `mutants` draws
 byte-mutated copies of the `fixtures` programs, the inputs on
 which the parser must be total. `programs` draws valid programs, the
-inputs the parser must accept.
+inputs the parser must accept. `dead_circuits` draws built circuits with a
+dead set, among them opaque blocks, controlled gates and SWAP chains.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from hypothesis import strategies as st
 from deadgate import oracle
 from deadgate.bench import _ONE_QUBIT, DEFAULT_PALETTE
 from deadgate.circuit import (
-    Circuit, CircuitError, Controlled, GateKind, Opaque, SingleQubit, Swap, build_circuit,
+    BASE_PARAMS, Circuit, CircuitError, Controlled, GateKind, Opaque, SingleQubit, Swap,
+    build_circuit,
 )
 from deadgate.qasm import SourceCircuit
 
@@ -347,3 +349,39 @@ def programs(draw) -> str:
     lines = [line + (f" //{draw(st.sampled_from(COMMENTS))}" if draw(st.booleans()) else "")
              for line in lines]
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def wires(draw, n: int, k: int) -> tuple[int, ...]:
+    return tuple(draw(st.permutations(range(n)))[:k])
+
+
+@st.composite
+def gate_kinds(draw, n: int) -> list:
+    """One gate, or a chain of SWAPs that walks deadness across wires."""
+    shapes = ["single", "opaque"] + (["controlled", "swap", "swap_chain"] if n > 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "single":
+        base = draw(st.sampled_from(sorted(BASE_PARAMS)))
+        params = tuple(draw(st.floats(-7, 7)) for _ in range(BASE_PARAMS[base]))
+        return [SingleQubit(base, draw(st.integers(0, n - 1)), params)]
+    if shape == "opaque":
+        ws = draw(wires(n, draw(st.integers(1, min(n, 3)))))
+        return [Opaque(f"B{len(ws)}", ws)]
+    if shape == "controlled":
+        base = draw(st.sampled_from(["X", "Y", "Z", "RZ"]))
+        params = (draw(st.floats(-7, 7)),) if base == "RZ" else ()
+        *controls, target = draw(wires(n, draw(st.integers(2, min(n, 3)))))
+        return [Controlled(base, tuple(controls), target, params)]
+    if shape == "swap":
+        return [Swap(*draw(wires(n, 2)))]
+    path = draw(wires(n, draw(st.integers(2, n))))
+    return [Swap(a, b) for a, b in zip(path, path[1:])]
+
+
+@st.composite
+def dead_circuits(draw) -> Circuit:
+    n = draw(st.integers(1, 14))
+    groups = draw(st.lists(gate_kinds(n), max_size=40))
+    dead = draw(st.sets(st.integers(0, n - 1)))
+    return build_circuit(n, [k for group in groups for k in group], dead)

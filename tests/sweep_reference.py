@@ -4,19 +4,19 @@
 the frontier until a sweep removes nothing, examining each sweep's
 snapshot in ascending position. It rebuilds the frontier on every sweep, so
 it is quadratic in the length of a dead chain; the tests compare
-`eliminate_dead_gates` with it. Its rule check and SWAP relabel are its
-own, written from the R1-R4 table in that module's docstring, so a rule
-error in the pass shows as a difference. It numbers each gate by its
+`eliminate_dead_gates` with it, and check both on hand-written rule
+examples. Its rule check (`match_rule`) and SWAP relabel (`relabel`) are
+its own, written from the R1-R4 table in that module's docstring, so a
+rule error in the pass shows as a difference. It numbers each gate by its
 position in its input itself, in `(position, gate)` pairs, so it keys on
-no gate object: one gate object may stand at several positions. The
-single-step helpers below (frontier, rule check, one removal, gate
-lookups) are used only by tests and name a gate by its position in the
-circuit they are given.
+no gate object: one gate object may stand at several positions.
+`frontier` gives the frontier of a circuit by position; the tests check
+it against a brute-force definition.
 """
 
 from __future__ import annotations
 
-from deadgate.circuit import Circuit, CircuitError, Controlled, Gate, SingleQubit, Swap
+from deadgate.circuit import Circuit, Controlled, Gate, SingleQubit, Swap
 from deadgate.eliminate import OptimizationReport, RemovalRule, RemovedGate, RuleFlags
 
 
@@ -77,58 +77,6 @@ def frontier(c: Circuit) -> set[int]:
     return numbered_frontier(c.n, list(enumerate(c.gates)))
 
 
-def gate(c: Circuit, pos: int) -> Gate:
-    """The gate at position `pos`."""
-    if not 0 <= pos < len(c.gates):
-        raise CircuitError(f"no gate at position {pos}")
-    return c.gates[pos]
-
-
-def last_gate_on_wire(c: Circuit, q: int) -> int | None:
-    """Position of the program-latest gate touching wire q, or None."""
-    if not 0 <= q < c.n:
-        raise CircuitError(f"qubit q[{q}] out of range for {c.n}-qubit circuit")
-    for i, g in reversed(list(enumerate(c.gates))):
-        if q in g.qubits:
-            return i
-    return None
-
-
-def remove_gate(c: Circuit, pos: int) -> Circuit:
-    """Copy of the circuit without the gate at position `pos`, so each later
-    gate moves down one position; dead set and map unchanged."""
-    gate(c, pos)  # refuses a position with no gate
-    kept = tuple(g for i, g in enumerate(c.gates) if i != pos)
-    return Circuit(c.n, kept, c.dead, c.outcome_map)
-
-
-def is_dead_gate(
-    c: Circuit, pos: int, flags: RuleFlags = RuleFlags()
-) -> RemovalRule | None:
-    """Rule under which frontier gate `pos` is removable, or None."""
-    if pos not in frontier(c):
-        raise CircuitError(f"gate {pos} is not in the frontier")
-    return match_rule(gate(c, pos).kind, c.dead, flags)
-
-
-def apply_removal(c: Circuit, pos: int, rule: RemovalRule) -> Circuit:
-    """Remove the gate at position `pos`, updating dead set and outcome map
-    when R3 demands it."""
-    actual = is_dead_gate(c, pos)
-    if actual is None and rule is RemovalRule.R4:
-        actual = is_dead_gate(c, pos, RuleFlags(extended=True))
-    if actual is not rule:
-        raise CircuitError(
-            f"gate {pos} does not match rule {rule.value} (got {actual})"
-        )
-    kind = gate(c, pos).kind
-    out = remove_gate(c, pos)
-    if rule is RemovalRule.R3:
-        dead, outcome_map = relabel(kind, out.dead, out.outcome_map)
-        out = Circuit(out.n, out.gates, dead, outcome_map)
-    return out
-
-
 def sweep_eliminate(
     c: Circuit, flags: RuleFlags = RuleFlags()
 ) -> tuple[Circuit, OptimizationReport]:
@@ -174,10 +122,3 @@ def sweep_eliminate(
     )
     return Circuit(c.n, gates, dead, outcome_map), report
 
-
-def complexity_probe(
-    c: Circuit, flags: RuleFlags = RuleFlags()
-) -> tuple[int, int]:
-    """(dead-gate checks performed, sweeps run) for one sweep run."""
-    _, report = sweep_eliminate(c, flags)
-    return report.gate_checks, report.iterations

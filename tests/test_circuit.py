@@ -1,8 +1,8 @@
 import itertools
 import re
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from deadgate import (
     Circuit,
@@ -15,7 +15,8 @@ from deadgate import (
 )
 from deadgate.circuit import BASE_PARAMS, NAMED_GATES, dialect_form, named_kind
 
-from sweep_reference import frontier, gate, last_gate_on_wire, remove_gate
+from helpers import dead_circuits
+from sweep_reference import frontier
 
 
 def fig2_kinds():
@@ -114,88 +115,10 @@ class TestFrontier:
     def test_empty_circuit(self):
         assert frontier(build_circuit(3, [])) == set()
 
-    def test_matches_brute_force_on_random_circuits(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            kinds = []
-            for _ in range(int(rng.integers(0, 30))):
-                if rng.random() < 0.5:
-                    kinds.append(SingleQubit("H", int(rng.integers(n))))
-                else:
-                    a, b = rng.choice(n, size=2, replace=False)
-                    kinds.append(Controlled("X", (int(a),), int(b)))
-            c = build_circuit(n, kinds)
-            assert frontier(c) == brute_frontier(c)
-
-    def test_frontier_gates_are_last_on_their_wires(self):
-        c = build_circuit(3, fig2_kinds())
-        for pos in frontier(c):
-            for q in gate(c, pos).qubits:
-                assert last_gate_on_wire(c, q) == pos
-        for i, g in enumerate(c.gates):
-            if i not in frontier(c):
-                assert any(last_gate_on_wire(c, q) != i for q in g.qubits)
-
-
-class TestRemoveGate:
-    def test_remove_preserves_order(self):
-        c = build_circuit(3, fig2_kinds())
-        c2 = remove_gate(c, 4)
-        assert [g.kind for g in c2.gates] == fig2_kinds()[:4]
-        assert c2.dead == c.dead
-        assert c2.outcome_map == c.outcome_map
-
-    def test_remove_sole_gate(self):
-        c = build_circuit(1, [SingleQubit("H", 0)])
-        assert remove_gate(c, 0).gates == ()
-
-    def test_remove_unknown_position(self):
-        c = build_circuit(2, [SingleQubit("H", 0)] * 3)
-        with pytest.raises(CircuitError):
-            remove_gate(c, 99)
-
-    def test_incremental_frontier_equals_recomputed(self):
-        rng = np.random.default_rng(3)
-        c = build_circuit(
-            4,
-            [
-                Controlled("X", (int(a),), int(b))
-                for a, b in (rng.choice(4, size=2, replace=False) for _ in range(20))
-            ],
-        )
-        while c.gates:
-            c = remove_gate(c, sorted(frontier(c))[0])
-            rebuilt = build_circuit(4, [g.kind for g in c.gates])
-            assert frontier(c) == frontier(rebuilt)
-
-    def test_later_gates_move_down_after_removals(self):
-        kinds = fig2_kinds()
-        c = build_circuit(3, kinds)
-        c = remove_gate(c, 1)
-        c = remove_gate(c, 2)  # the gate first at position 3
-        assert [g.kind for g in c.gates] == [kinds[0], kinds[2], kinds[4]]
-
-
-class TestLastGateOnWire:
-    def test_fig2_wire_ends(self):
-        c = build_circuit(3, fig2_kinds())
-        assert last_gate_on_wire(c, 0) == 4  # the controlled-Y
-        assert last_gate_on_wire(c, 1) == 3  # the two-control gate
-        assert last_gate_on_wire(c, 2) == 4
-
-    def test_untouched_wire(self):
-        assert last_gate_on_wire(build_circuit(2, []), 0) is None
-
-    def test_out_of_range(self):
-        with pytest.raises(CircuitError):
-            last_gate_on_wire(build_circuit(2, []), 2)
-
-    def test_per_wire_order_total(self):
-        c = build_circuit(3, fig2_kinds())
-        for q in range(3):
-            touching = [i for i, g in enumerate(c.gates) if q in g.qubits]
-            assert touching == sorted(touching)
+    @settings(max_examples=300, deadline=None)
+    @given(c=dead_circuits())
+    def test_matches_brute_force_on_random_circuits(self, c):
+        assert frontier(c) == brute_frontier(c)
 
 
 # the gates whose wires are interchangeable, written here apart from the table

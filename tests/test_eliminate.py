@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from deadgate import (
     Circuit,
-    CircuitError,
     Controlled,
     Opaque,
     OptimizationReport,
@@ -20,17 +19,12 @@ from deadgate import (
     eliminate_dead_gates,
 )
 from deadgate.bench import DeadMode, random_circuit, select_dead
-from deadgate.circuit import BASE_PARAMS
 from deadgate.eliminate import RemovedGate
 from deadgate.qasm import parse
 
-from helpers import programs
-from sweep_reference import (
-    apply_removal,
-    complexity_probe,
-    is_dead_gate,
-    sweep_eliminate,
-)
+from fixtures import qpe_instance
+from helpers import dead_circuits, programs
+from sweep_reference import frontier, match_rule, sweep_eliminate
 from test_circuit import fig2_kinds
 
 
@@ -38,76 +32,125 @@ def with_dead(c: Circuit, dead) -> Circuit:
     return Circuit(c.n, c.gates, frozenset(dead), c.outcome_map)
 
 
-class TestIsDeadGate:
-    def test_controlled_target_dead(self):
-        c = build_circuit(3, fig2_kinds(), dead={0})
-        assert is_dead_gate(c, 4) is RemovalRule.R2
-
-    def test_single_qubit_on_live_wire(self):
-        c = build_circuit(2, [SingleQubit("H", 1)], dead={0})
-        assert is_dead_gate(c, 0) is None
-
-    def test_single_qubit_on_dead_wire(self):
-        c = build_circuit(2, [SingleQubit("H", 0)], dead={0})
-        assert is_dead_gate(c, 0) is RemovalRule.R1
-
-    def test_swap_one_dead_endpoint(self):
-        c = build_circuit(2, [Swap(0, 1)], dead={0})
-        assert is_dead_gate(c, 0) is RemovalRule.R3
-
-    def test_swap_both_dead(self):
-        c = build_circuit(3, [Swap(0, 1)], dead={0, 1})
-        assert is_dead_gate(c, 0) is RemovalRule.R3
-
-    def test_swap_rule_disabled(self):
-        c = build_circuit(2, [Swap(0, 1)], dead={0})
-        assert is_dead_gate(c, 0, RuleFlags(swap_relabel=False)) is None
-
-    def test_controls_dead_target_live(self):
-        c = build_circuit(2, [Controlled("X", (0,), 1)], dead={0})
-        assert is_dead_gate(c, 0) is None
-
-    def test_extension_all_dead_opaque(self):
-        c = build_circuit(3, [Opaque("B", (0, 1))], dead={0, 1})
-        assert is_dead_gate(c, 0) is None
-        assert is_dead_gate(c, 0, RuleFlags(extended=True)) is RemovalRule.R4
-
-    def test_not_in_frontier_rejected(self):
-        c = build_circuit(2, [SingleQubit("H", 0), SingleQubit("X", 0)], dead={0})
-        with pytest.raises(CircuitError):
-            is_dead_gate(c, 0)
+ALL_FLAGS = [
+    RuleFlags(extended=e, swap_relabel=s) for e in (False, True) for s in (True, False)
+]
 
 
-class TestApplyRemoval:
-    def test_swap_relabels_dead_and_outcome_map(self):
-        c = build_circuit(2, [Swap(0, 1)], dead={0})
-        out = apply_removal(c, 0, RemovalRule.R3)
-        assert out.dead == {1}
-        # label 1's outcome now lives on wire 0, and vice versa
-        assert out.outcome_map == (1, 0)
+def assert_matches_sweep(c: Circuit, flags: RuleFlags) -> None:
+    fast, report = eliminate_dead_gates(c, flags)
+    ref, ref_report = sweep_eliminate(c, flags)
+    assert fast == ref
+    assert report.to_json() == ref_report.to_json()
 
-    def test_swap_both_dead_no_relabel(self):
-        c = build_circuit(3, [Swap(0, 2)], dead={0, 2})
-        out = apply_removal(c, 0, RemovalRule.R3)
-        assert out.dead == {0, 2}
-        assert out.outcome_map == (0, 1, 2)
 
-    def test_r1_leaves_dead_set(self):
-        c = build_circuit(2, [SingleQubit("H", 0)], dead={0})
-        out = apply_removal(c, 0, RemovalRule.R1)
-        assert out.dead == {0}
-        assert out.gates == ()
+@st.composite
+def bench_circuits(draw) -> Circuit:
+    """A bench generator circuit at width 2-40 with a drawn dead set."""
+    w = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**16))
+    c = random_circuit(w, draw(st.sampled_from((5, 20))) * w, 0.1, seed=(seed, 1))
+    dead = select_dead(w, DeadMode("fixed", draw(st.integers(1, w - 1))), seed=(seed, 2))
+    return with_dead(c, dead)
 
-    def test_removed_gate_is_gone(self):
-        c = build_circuit(3, fig2_kinds(), dead={0})
-        out = apply_removal(c, 4, RemovalRule.R2)
-        with pytest.raises(CircuitError):
-            apply_removal(out, 4, RemovalRule.R2)
 
-    def test_rule_mismatch(self):
-        c = build_circuit(2, [SingleQubit("H", 0)], dead={0})
-        with pytest.raises(CircuitError):
-            apply_removal(c, 0, RemovalRule.R2)
+def parsed(n: int, statement: str, measured) -> Circuit:
+    """A parsed program: one gate statement, then measures of `measured`;
+    every other wire is dead."""
+    lines = ["OPENQASM 2.0;", f"qreg q[{n}];", f"creg c[{n}];", statement]
+    lines += [f"measure q[{w}] -> c[{w}];" for w in measured]
+    return parse("\n".join(lines) + "\n").circuit
+
+
+R1, R2, R3, R4 = RemovalRule
+
+# circuit, flags, removed (id, rule) pairs, dead, outcome map, sweeps, checks
+RULE_EXAMPLES = [
+    pytest.param(build_circuit(2, [SingleQubit("H", 0)], dead={0}), RuleFlags(),
+                 [(0, R1)], {0}, (0, 1), 2, 1, id="single_on_dead_wire"),
+    pytest.param(build_circuit(2, [SingleQubit("H", 1)], dead={0}), RuleFlags(),
+                 [], {0}, (0, 1), 1, 1, id="single_on_live_wire"),
+    # the live H stays at position 1; ids name positions in the input
+    pytest.param(build_circuit(2, [SingleQubit("H", 0), SingleQubit("H", 1)], dead={0}),
+                 RuleFlags(), [(0, R1)], {0}, (0, 1), 2, 3, id="single_before_live_gate"),
+    # the X is removed in sweep 1, which brings the H to the frontier in sweep 2
+    pytest.param(build_circuit(2, [SingleQubit("H", 0), SingleQubit("X", 0)], dead={0}),
+                 RuleFlags(), [(1, R1), (0, R1)], {0}, (0, 1), 3, 2, id="dead_wire_chain"),
+    # the kept cx blocks the H on the dead wire: it is never checked
+    pytest.param(build_circuit(2, [SingleQubit("H", 0), Controlled("X", (0,), 1)], dead={0}),
+                 RuleFlags(), [], {0}, (0, 1), 1, 1, id="dead_gate_behind_kept_gate"),
+    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={1}), RuleFlags(),
+                 [(0, R2)], {1}, (0, 1), 2, 1, id="cx_dead_target"),
+    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={0}), RuleFlags(),
+                 [], {0}, (0, 1), 1, 1, id="cx_dead_control_live_target"),
+    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={0, 1}), RuleFlags(),
+                 [(0, R2)], {0, 1}, (0, 1), 2, 1, id="cx_both_dead"),
+    pytest.param(build_circuit(3, [Controlled("X", (0, 1), 2)], dead={2}), RuleFlags(),
+                 [(0, R2)], {2}, (0, 1, 2), 2, 1, id="ccx_dead_target"),
+    # dead controls are not enough, even under the extension
+    pytest.param(build_circuit(3, [Controlled("X", (0, 1), 2)], dead={0, 1}),
+                 RuleFlags(extended=True),
+                 [], {0, 1}, (0, 1, 2), 1, 1, id="ccx_dead_controls_extended"),
+    # cz and ccz target their highest wire, whatever order they are written in
+    pytest.param(parsed(2, "cz q[1],q[0];", [0]), RuleFlags(),
+                 [(0, R2)], {1}, (0, 1), 2, 1, id="cz_highest_wire_dead"),
+    pytest.param(parsed(2, "cz q[1],q[0];", [1]), RuleFlags(),
+                 [], {0}, (0, 1), 1, 1, id="cz_lowest_wire_dead"),
+    pytest.param(parsed(3, "ccz q[2],q[0],q[1];", [0, 1]), RuleFlags(),
+                 [(0, R2)], {2}, (0, 1, 2), 2, 1, id="ccz_out_of_wire_order"),
+    # label 1's outcome now lives on wire 0, and vice versa
+    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0}), RuleFlags(),
+                 [(0, R3)], {1}, (1, 0), 2, 1, id="swap_one_dead_endpoint"),
+    pytest.param(build_circuit(3, [Swap(0, 1)], dead={1}), RuleFlags(),
+                 [(0, R3)], {0}, (1, 0, 2), 2, 1, id="swap_dead_second_endpoint"),
+    # after the relabel the H sits on the dead wire and goes by R1
+    pytest.param(build_circuit(2, [SingleQubit("H", 1), Swap(0, 1)], dead={0}), RuleFlags(),
+                 [(1, R3), (0, R1)], {1}, (1, 0), 3, 2, id="swap_then_relabelled_gate"),
+    # the H on the live wire is kept and blocks the SWAP
+    pytest.param(build_circuit(2, [Swap(0, 1), SingleQubit("H", 1)], dead={0}), RuleFlags(),
+                 [], {0}, (0, 1), 1, 1, id="swap_behind_kept_gate"),
+    pytest.param(build_circuit(3, [Swap(0, 1)], dead={2}), RuleFlags(),
+                 [], {2}, (0, 1, 2), 1, 1, id="swap_both_live"),
+    pytest.param(build_circuit(3, [Swap(0, 2)], dead={0, 2}), RuleFlags(),
+                 [(0, R3)], {0, 2}, (0, 1, 2), 2, 1, id="swap_both_dead_no_relabel"),
+    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0}), RuleFlags(swap_relabel=False),
+                 [], {0}, (0, 1), 1, 1, id="swap_relabel_off"),
+    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0, 1}),
+                 RuleFlags(extended=True, swap_relabel=False),
+                 [(0, R4)], {0, 1}, (0, 1), 2, 1, id="swap_relabel_off_extended_both_dead"),
+    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0, 1}), RuleFlags(),
+                 [], {0, 1}, (0, 1, 2), 1, 1, id="all_dead_opaque_default"),
+    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0, 1}),
+                 RuleFlags(extended=True),
+                 [(0, R4)], {0, 1}, (0, 1, 2), 2, 1, id="all_dead_opaque_extended"),
+    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0}), RuleFlags(extended=True),
+                 [], {0}, (0, 1, 2), 1, 1, id="part_dead_opaque_extended"),
+    # a one-wire block is not a named one-qubit gate: R1 does not apply
+    pytest.param(build_circuit(2, [Opaque("B", (0,))], dead={0}), RuleFlags(),
+                 [], {0}, (0, 1), 1, 1, id="one_wire_opaque_default"),
+    pytest.param(build_circuit(2, [Opaque("B", (0,))], dead={0}), RuleFlags(extended=True),
+                 [(0, R4)], {0}, (0, 1), 2, 1, id="one_wire_opaque_extended"),
+    pytest.param(build_circuit(2, [], dead={0}), RuleFlags(),
+                 [], {0}, (0, 1), 1, 0, id="empty"),
+]
+
+
+class TestRuleExamples:
+    """The pass on single gates and the empty circuit, checked by hand and
+    against the sweep reference."""
+
+    @pytest.mark.parametrize(
+        "c, flags, removed, dead, outcome_map, iterations, gate_checks", RULE_EXAMPLES
+    )
+    def test_example(self, c, flags, removed, dead, outcome_map, iterations, gate_checks):
+        opt, rep = eliminate_dead_gates(c, flags)
+        assert [(r.id, r.rule) for r in rep.removed] == [(i, r.value) for i, r in removed]
+        gone = {i for i, _ in removed}
+        assert opt.gates == tuple(g for i, g in enumerate(c.gates) if i not in gone)
+        assert opt.dead == dead
+        assert opt.outcome_map == outcome_map
+        assert (rep.iterations, rep.gate_checks) == (iterations, gate_checks)
+        assert_matches_sweep(c, flags)
 
 
 class TestEliminate:
@@ -138,21 +181,37 @@ class TestEliminate:
             assert rep.removed == []
             assert twice.gates == once.gates
 
-    def test_monotone_in_dead_set(self):
-        rng = np.random.default_rng(31)
-        for i in range(20):
-            w = int(rng.integers(4, 9))
-            perm = [int(q) for q in rng.permutation(w)]
-            # no swaps: removed sets must nest as the dead set grows
-            c = random_circuit(w, 12 * w, 0.1, seed=(31, i), palette=("cx", "cz"))
-            _, rep1 = eliminate_dead_gates(with_dead(c, perm[:1]))
-            _, rep2 = eliminate_dead_gates(with_dead(c, perm[:3]))
-            assert {r.id for r in rep1.removed} <= {r.id for r in rep2.removed}
-            # with swaps and relabeling only the counts are comparable
-            cs = random_circuit(w, 12 * w, 0.1, seed=(32, i))
-            _, rep1 = eliminate_dead_gates(with_dead(cs, perm[:1]))
-            _, rep2 = eliminate_dead_gates(with_dead(cs, perm[:3]))
-            assert len(rep1.removed) <= len(rep2.removed)
+    @settings(max_examples=300, deadline=None)
+    @given(c=dead_circuits() | bench_circuits(), flags=st.sampled_from(ALL_FLAGS),
+           data=st.data())
+    def test_monotone_in_dead_set(self, c, flags, data):
+        # removed sets nest as the dead set grows, SWAP relabels included
+        more = data.draw(st.sets(st.integers(0, c.n - 1)))
+        _, rep1 = eliminate_dead_gates(c, flags)
+        _, rep2 = eliminate_dead_gates(with_dead(c, c.dead | more), flags)
+        assert {r.id for r in rep1.removed} <= {r.id for r in rep2.removed}
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=dead_circuits() | bench_circuits(), flags=st.sampled_from(ALL_FLAGS))
+    def test_output_is_a_fixpoint(self, c, flags):
+        # no gate left on the output's frontier matches a rule
+        opt, _ = eliminate_dead_gates(c, flags)
+        assert all(match_rule(opt.gates[i].kind, opt.dead, flags) is None
+                   for i in frontier(opt))
+
+    def test_gate_checks_within_quadratic_bound(self):
+        rng = np.random.default_rng(51)
+        for i in range(10):
+            w = int(rng.integers(3, 9))
+            c = random_circuit(w, 100, 0.1, seed=(51, i))
+            c = with_dead(c, select_dead(w, DeadMode("fixed", 2), seed=(52, i)))
+            rep = eliminate_dead_gates(c)[1]
+            assert rep.gate_checks <= 100 * 101
+            assert rep.iterations >= 1
+
+    def test_qpe_sweep_count(self):
+        rep = eliminate_dead_gates(qpe_instance(m=4, r=2).circuit)[1]
+        assert rep.iterations == 6  # one per removed chain gate plus the final sweep
 
     def test_dead_cardinality_preserved(self):
         rng = np.random.default_rng(41)
@@ -224,76 +283,6 @@ class TestEliminate:
         assert verdict.equivalent
 
 
-class TestComplexityProbe:
-    def test_empty_circuit(self):
-        assert complexity_probe(build_circuit(2, [], dead={0})) == (0, 1)
-
-    def test_quadratic_bound_on_random_circuits(self):
-        rng = np.random.default_rng(51)
-        for i in range(10):
-            w = int(rng.integers(3, 9))
-            c = random_circuit(w, 100, 0.1, seed=(51, i))
-            c = with_dead(c, select_dead(w, DeadMode("fixed", 2), seed=(52, i)))
-            checks, sweeps = complexity_probe(c)
-            assert checks <= 100 * 101
-            assert sweeps >= 1
-
-    def test_qpe_sweep_count(self):
-        from fixtures import qpe_instance
-
-        c = qpe_instance(m=4, r=2).circuit
-        checks, sweeps = complexity_probe(c)
-        assert sweeps == 6  # one per removed chain gate plus the final sweep
-
-
-ALL_FLAGS = [
-    RuleFlags(extended=e, swap_relabel=s) for e in (False, True) for s in (True, False)
-]
-
-
-def assert_matches_sweep(c: Circuit, flags: RuleFlags) -> None:
-    fast, report = eliminate_dead_gates(c, flags)
-    ref, ref_report = sweep_eliminate(c, flags)
-    assert fast == ref
-    assert report.to_json() == ref_report.to_json()
-
-
-@st.composite
-def wires(draw, n: int, k: int) -> tuple[int, ...]:
-    return tuple(draw(st.permutations(range(n)))[:k])
-
-
-@st.composite
-def gate_kinds(draw, n: int) -> list:
-    """One gate, or a chain of SWAPs that walks deadness across wires."""
-    shapes = ["single", "opaque"] + (["controlled", "swap", "swap_chain"] if n > 1 else [])
-    shape = draw(st.sampled_from(shapes))
-    if shape == "single":
-        base = draw(st.sampled_from(sorted(BASE_PARAMS)))
-        params = tuple(draw(st.floats(-7, 7)) for _ in range(BASE_PARAMS[base]))
-        return [SingleQubit(base, draw(st.integers(0, n - 1)), params)]
-    if shape == "opaque":
-        ws = draw(wires(n, draw(st.integers(1, min(n, 3)))))
-        return [Opaque(f"B{len(ws)}", ws)]
-    if shape == "controlled":
-        base = draw(st.sampled_from(["X", "Y", "Z", "RZ"]))
-        params = (draw(st.floats(-7, 7)),) if base == "RZ" else ()
-        *controls, target = draw(wires(n, draw(st.integers(2, min(n, 3)))))
-        return [Controlled(base, tuple(controls), target, params)]
-    if shape == "swap":
-        return [Swap(*draw(wires(n, 2)))]
-    path = draw(wires(n, draw(st.integers(2, n))))
-    return [Swap(a, b) for a, b in zip(path, path[1:])]
-
-
-@st.composite
-def dead_circuits(draw) -> Circuit:
-    n = draw(st.integers(1, 14))
-    groups = draw(st.lists(gate_kinds(n), max_size=40))
-    dead = draw(st.sets(st.integers(0, n - 1)))
-    return build_circuit(n, [k for group in groups for k in group], dead)
-
-
 class TestLinearPassMatchesSweep:
     """The one-pass elimination against the frontier-sweep reference."""
 
@@ -329,16 +318,6 @@ def assert_ids_are_positions(c: Circuit, report: OptimizationReport) -> None:
     """Each removal's id is the position in `c.gates` of the gate it names."""
     for r in report.removed:
         assert c.gates[r.id].kind.summary() == r.gate, r
-
-
-@st.composite
-def bench_circuits(draw) -> Circuit:
-    """A bench generator circuit at width 2-40 with a drawn dead set."""
-    w = draw(st.integers(2, 40))
-    seed = draw(st.integers(0, 2**16))
-    c = random_circuit(w, draw(st.sampled_from((5, 20))) * w, 0.1, seed=(seed, 1))
-    dead = select_dead(w, DeadMode("fixed", draw(st.integers(1, w - 1))), seed=(seed, 2))
-    return with_dead(c, dead)
 
 
 # a first pass whose output a second pass, with other flags, removes more of
