@@ -121,9 +121,10 @@ class DrawnGates:
     tuple.
 
     A gate is built each time its index is read, so a pass that walks
-    only the tail never builds the rest. `[:k]` and `+ tuple` give
-    sequences on the same kind function; every other slice is a tuple. It
-    compares equal to a tuple of the same gates, either way round.
+    only the tail never builds the rest; building one only boxes its
+    kind. `[:k]` and `+ tuple` give sequences on the same kind function;
+    every other slice is a tuple. It compares equal to a tuple of the
+    same gates, either way round.
     """
 
     __slots__ = ("_kind", "_stop", "_tail")
@@ -192,7 +193,8 @@ def random_circuit(
     construction: a two-qubit gate's second wire is its first shifted by
     1 to w-1 modulo w. The gates are a `DrawnGates` over one function
     that reads gate i's kind from the arrays, so gate i is built, as
-    `Gate(kind(i))`, only where its index is read."""
+    `Gate(kind(i))`, only where its index is read, and its wires are
+    read from that kind."""
     if w < 2 and not fraction_1q >= 1.0:
         raise ValueError("two-qubit gates need width >= 2")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ it removes by its position in the pass's input.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Named single-qubit bases and their parameter counts.
 BASE_PARAMS: dict[str, int] = {
@@ -181,17 +181,10 @@ def _check_kind(kind: GateKind, n: int) -> None:
 
 @dataclass(slots=True)
 class Gate:
-    """One circuit element: its kind.
-
-    `qubits` is derived from the kind once, at construction: the pass's
-    walk and the oracle's compile step read it as a plain attribute.
-    """
+    """One circuit element: a box around its kind and nothing more. Its
+    wires are `kind.qubits()`, called where they are read."""
 
     kind: GateKind
-    qubits: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.qubits = self.kind.qubits()
 
 
 @dataclass(slots=True)
@@ -201,6 +194,7 @@ class Circuit:
     `gates` is any read-only sequence of gates with `len`, indexing,
     slicing, `reversed` and equality against tuples: a tuple for parsed
     and built circuits, a lazily built sequence for the bench generator's.
+    A gate's wires are `g.kind.qubits()`, read where they are needed.
     Treated as immutable: passes return new circuits. A gate object may
     stand at several positions (a parse gives every repeat of a statement
     the same one), so neither a gate nor its kind is changed in place.

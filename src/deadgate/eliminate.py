@@ -150,10 +150,10 @@ def eliminate_dead_gates(
     walked = 0
     for g in reversed(c.gates):
         walked += 1
-        qs = g.qubits
+        kind = g.kind
+        qs = kind.qubits()
         if not any(blocked[q] for q in qs):
             entry = 1 + max(wire_sweep[q] for q in qs)
-            kind = g.kind
             rule = _match_rule(kind, dead, flags)
             if rule is not None:
                 for q in qs:

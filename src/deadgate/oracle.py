@@ -163,7 +163,9 @@ def _compile(
     gates: Sequence[Gate], bindings: Mapping[str, np.ndarray], axis
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Per-gate (unitary, axes) list; wire q is state axis `axis[q]`."""
-    return [(_unitary(g.kind, bindings), tuple(axis[q] for q in g.qubits)) for g in gates]
+    return [
+        (_unitary(g.kind, bindings), tuple(axis[q] for q in g.kind.qubits())) for g in gates
+    ]
 
 
 def _apply(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -270,7 +272,7 @@ def check_marginal_equiv(
     bindings = bind_opaques((c1, c2), seed)
     common = _common_prefix(c1.gates, c2.gates)
     rest1, rest2 = c1.gates[common:], c2.gates[common:]
-    touched = {q for g in (*rest1, *rest2) for q in g.qubits}
+    touched = {q for g in (*rest1, *rest2) for q in g.kind.qubits()}
     touched.update(q for a, b in zip(wires1, wires2) if a != b for q in (a, b))
     axis = {q: i for i, q in enumerate(sorted(touched))}
     width = len(axis)

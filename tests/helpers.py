@@ -7,8 +7,8 @@ against kept wires, and kept wires read through a dead-wire pairing.
 `source_from_circuit` wraps a bare circuit so it can be serialized.
 `simulate` and `marginal` share no code with the oracle: their gate
 matrices are written from the gates' definitions, each gate is applied
-by moving its wires to the front, and outcome probabilities are summed
-with `einsum`. `reference_marginal_equiv` is the oracle's check one
+by moving its wires (`kind.qubits()`) to the front, and outcome
+probabilities are summed with `einsum`. `reference_marginal_equiv` is the oracle's check one
 sample at a time, each circuit simulated whole, on input states drawn
 here by the oracle's recipe from the oracle's seeds (`random_state`).
 Run on the circuits themselves it is the verdict reference for the
@@ -125,10 +125,11 @@ def simulate(c: Circuit, amps: np.ndarray, bindings=None) -> np.ndarray:
     """Amplitudes after applying the circuit's unitary to `amps`."""
     state = np.asarray(amps, dtype=complex).reshape((2,) * c.n)
     for g in c.gates:
-        k = len(g.qubits)
-        front = np.moveaxis(state, g.qubits, range(k))
+        qs = g.kind.qubits()
+        k = len(qs)
+        front = np.moveaxis(state, qs, range(k))
         moved = kind_matrix(g.kind, bindings or {}) @ front.reshape(2**k, -1)
-        state = np.moveaxis(moved.reshape(front.shape), range(k), g.qubits)
+        state = np.moveaxis(moved.reshape(front.shape), range(k), qs)
     return state.reshape(-1)
 
 

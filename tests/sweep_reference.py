@@ -56,14 +56,15 @@ def numbered_frontier(n: int, numbered: list[tuple[int, Gate]]) -> set[int]:
     unseen = n
     out: set[int] = set()
     for i, g in reversed(numbered):
+        qs = g.kind.qubits()
         fresh = True
-        for q in g.qubits:
+        for q in qs:
             if seen[q]:
                 fresh = False
                 break
         if fresh:
             out.add(i)
-        for q in g.qubits:
+        for q in qs:
             if not seen[q]:
                 seen[q] = 1
                 unseen -= 1

@@ -195,7 +195,7 @@ def walked_count(c: Circuit, report) -> int:
             break
         walked += 1
         if i not in removed:
-            blocked.update(g.qubits)
+            blocked.update(g.kind.qubits())
     return walked
 
 

@@ -36,8 +36,8 @@ def brute_frontier(c: Circuit) -> set[int]:
     wire with it."""
     out = set()
     for i, g in enumerate(c.gates):
-        qs = set(g.qubits)
-        if all(qs.isdisjoint(h.qubits) for h in c.gates[i + 1 :]):
+        qs = set(g.kind.qubits())
+        if all(qs.isdisjoint(h.kind.qubits()) for h in c.gates[i + 1 :]):
             out.add(i)
     return out
 

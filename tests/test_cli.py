@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from deadgate import cli
+from deadgate import bench, cli
 from deadgate.cli import main
 
 import fixtures
@@ -52,17 +52,19 @@ class TestOptimize:
         ] * 3
         assert "removed 3 of 5 gates" in capsys.readouterr().out
 
-    def test_readme_report_bytes(self, tmp_path):
-        # the README states an input and the exact report optimize writes
+    def test_readme_report_bytes(self, tmp_path, capsys):
+        # the README states an input, the exact report optimize writes and
+        # its exact stdout: removals per rule by name, and the outcome map
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme[readme.index("The report is the text"):]
-        source, report = re.findall(r"```(?:json)?\n(.*?)```", section, re.S)[:2]
+        source, report, stdout = re.findall(r"```(?:json)?\n(.*?)```", section, re.S)[:3]
         src = write(tmp_path, "in.qasm", source)
         out = tmp_path / "report.json"
         assert main(["optimize", str(src), str(tmp_path / "out.qasm"), "--report", str(out)]) == 0
         assert out.read_text() == report
+        assert capsys.readouterr() == (stdout, "")
 
-    def test_no_dead_qubits_output_identical(self, tmp_path):
+    def test_no_dead_qubits_output_identical(self, tmp_path, capsys):
         text = "\n".join(
             [
                 "OPENQASM 2.0;",
@@ -80,6 +82,8 @@ class TestOptimize:
         out = tmp_path / "out.qasm"
         assert main(["optimize", str(src), str(out)]) == 0
         assert out.read_text() == text
+        # nothing removed: no breakdown, and the map stays sorted and unprinted
+        assert capsys.readouterr() == ("removed 0 of 2 gates in 1 sweeps\n", "")
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         src = write(tmp_path, "bad.qasm", "OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\n")
@@ -510,7 +514,7 @@ class TestBench:
         monkeypatch.setattr(cli, "run_bench", sweep)
         assert main(["bench", "--out", str(tmp_path / "b.csv")]) == 0
         (cfg,) = seen
-        default = cli.BenchConfig(widths=cfg.widths, dead_mode=cfg.dead_mode)
+        default = bench.BenchConfig(widths=cfg.widths, dead_mode=cfg.dead_mode)
         assert dataclasses.asdict(cfg) == dataclasses.asdict(default)
 
     def test_pct_mode_row(self, tmp_path):
@@ -665,6 +669,15 @@ class TestEntryPoints:
         done = run_python("-c", "import sys, deadgate.cli; print('numpy' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_optimize_leaves_out_numpy(self, tmp_path):
+        src = write(tmp_path, "in.qasm", fixtures.three_qubit_example_source())
+        code = ("import sys; from deadgate.cli import main; "
+                f"main(['optimize', {str(src)!r}, {str(tmp_path / 'out.qasm')!r}]); "
+                "print('numpy' in sys.modules)")
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("\nFalse\n")
 
     @pytest.mark.parametrize("module", ["deadgate", "deadgate.cli"])
     @pytest.mark.parametrize("other, code", [("h", 0), ("x", 1), ("frobnicate", 2)])

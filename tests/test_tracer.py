@@ -30,6 +30,8 @@ def test_traced_bench_and_verify_record_spans_and_uninstall_restores(tmp_path, c
     try:
         spans.install(tracer)
         patches = list(tracer._patches)
+        # cli loads lazily only names the tracer wraps there
+        assert set(cli._LAZY) <= {attr for module, attr, _ in patches if module is cli}
         out = tmp_path / "b.csv"
         assert cli.main(["bench", "--no-timing", "--verify-fraction", "1", "--widths", "2,3,4",
                          "--programs", "1", "--blocks", "2", "--out", str(out)]) == 0
