@@ -31,12 +31,12 @@ from helpers import kept_wires, paired_wires, source_from_circuit
 
 BENCH_SEED = 7
 WIDTHS = tuple(range(2, 41, 2))
-MODES = (DeadMode("fixed", 1), DeadMode("pct", 10), DeadMode("pct", 20))
+MODES = ("fixed:1", "pct:10", "pct:20")
 
 
-def bench_config(mode: DeadMode, **overrides) -> BenchConfig:
+def bench_config(mode: str, **overrides) -> BenchConfig:
     base = dict(
-        widths=WIDTHS, dead_mode=mode, programs=20, blocks=10, seed=BENCH_SEED,
+        widths=WIDTHS, dead_mode=DeadMode.parse(mode), programs=20, blocks=10, seed=BENCH_SEED,
         verify_fraction=0.05,
     )
     base.update(overrides)
@@ -49,7 +49,7 @@ def bench_sweep():
     out = {}
     for mode in MODES:
         totals, csv_text = run_bench(bench_config(mode))
-        out[str(mode)] = (totals, csv_text)
+        out[mode] = (totals, csv_text)
     return out
 
 
@@ -301,7 +301,7 @@ def untimed_csvs():
     out = {}
     for mode in MODES:
         cfg = bench_config(mode, verify_fraction=0.0, measure_time=False)
-        out[str(mode)] = (run_bench(cfg)[1], run_bench(cfg)[1])
+        out[mode] = (run_bench(cfg)[1], run_bench(cfg)[1])
     return out
 
 
@@ -324,8 +324,8 @@ def test_criterion_9_determinism(tmp_path, untimed_csvs):
 
     # criterion 7: reruns with the same seeds produce byte-identical CSVs
     for mode in MODES:
-        csv_a, csv_b = untimed_csvs[str(mode)]
-        assert csv_a == csv_b, str(mode)
+        csv_a, csv_b = untimed_csvs[mode]
+        assert csv_a == csv_b, mode
     print("\nACCEPTANCE 9: PASS - reports and CSVs byte-identical across reruns")
 
 
@@ -338,6 +338,6 @@ def test_criterion_9_timed_csv_matches_untimed(bench_sweep, untimed_csvs):
         return "\n".join(rows)
 
     for mode in MODES:
-        _, timed_csv = bench_sweep[str(mode)]
-        untimed_csv, _ = untimed_csvs[str(mode)]
+        _, timed_csv = bench_sweep[mode]
+        untimed_csv, _ = untimed_csvs[mode]
         assert strip_timing(timed_csv) == strip_timing(untimed_csv)

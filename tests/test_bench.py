@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,14 +52,6 @@ class TestRandomCircuit:
         b = random_circuit(5, 80, 0.1, seed=4)
         assert a.gates == b.gates
 
-    def test_width_one_rejected(self):
-        with pytest.raises(ValueError):
-            random_circuit(1, 10, 0.1, seed=5)
-
-    def test_width_one_rejects_nan_fraction(self):
-        with pytest.raises(ValueError, match="width >= 2"):
-            random_circuit(1, 5, float("nan"), seed=0)
-
     @settings(max_examples=200, deadline=None)
     @given(
         w=st.integers(1, 40),
@@ -72,7 +65,7 @@ class TestRandomCircuit:
         per two-qubit gate, so `build_circuit` accepts every gate it yields."""
         palette = tuple(palette)
         if w < 2 and not fraction >= 1.0:
-            with pytest.raises(ValueError, match="width >= 2"):
+            with pytest.raises(ValueError, match="^two-qubit gates need width >= 2$"):
                 random_circuit(w, gates, fraction, seed=seed, palette=palette)
             return
         c = random_circuit(w, gates, fraction, seed=seed, palette=palette)
@@ -364,10 +357,6 @@ class TestSelectDead:
         assert len(select_dead(10, DeadMode("pct", 20), seed=1)) == 2
         assert len(select_dead(5, DeadMode("pct", 10), seed=1)) == 1  # floor, min 1
 
-    def test_fixed_count_must_leave_a_kept_wire(self):
-        with pytest.raises(ValueError):
-            select_dead(3, DeadMode("fixed", 3), seed=1)
-
     def test_nested_for_shared_seed(self):
         small = select_dead(20, DeadMode("pct", 10), seed=9)
         large = select_dead(20, DeadMode("pct", 20), seed=9)
@@ -382,10 +371,6 @@ class TestSelectDead:
     def test_mode_parse(self):
         assert DeadMode.parse("fixed:2") == DeadMode("fixed", 2)
         assert DeadMode.parse("pct:20") == DeadMode("pct", 20)
-        with pytest.raises(ValueError):
-            DeadMode.parse("every-other")
-        with pytest.raises(ValueError):
-            DeadMode.parse("half:0")
 
 
 def small_config(**overrides) -> BenchConfig:
@@ -416,6 +401,60 @@ def sweep_blocks(cfg: BenchConfig):
                 dead = select_dead(width, cfg.dead_mode, seed=(*root, 2))
                 c = Circuit(c.n, c.gates, dead, c.outcome_map)
                 yield width, c, eliminate_dead_gates(c, RuleFlags())[1]
+
+
+VERIFY_FRACTION = "verify fraction must be in [0, 1] with a finite 1/fraction, got "
+RUNS = "gate multiplier, blocks and programs must be >= 1"
+
+# Every refusal of the bench library, as (call, message), each a plain
+# ValueError, with rows that pin which of two refusals comes first. A
+# configuration is refused when it is built, before any sweep runs.
+REFUSALS = {
+    "dead_mode_unknown": (lambda: DeadMode("half", 2), "unknown dead mode 'half'"),
+    "dead_mode_zero": (lambda: DeadMode("fixed", 0), "dead mode value must be positive"),
+    "dead_mode_negative": (lambda: DeadMode("pct", -5), "dead mode value must be positive"),
+    "dead_mode_text": (lambda: DeadMode.parse("every-other"),
+                       "dead mode 'every-other' is not of the form fixed:k or pct:p"),
+    # the kind is checked before the value
+    "dead_mode_kind_before_value": (lambda: DeadMode.parse("half:0"), "unknown dead mode 'half'"),
+    "no_widths": (lambda: small_config(widths=()), "widths must all be >= 2"),
+    "width_one": (lambda: small_config(widths=(1, 3)), "widths must all be >= 2"),
+    "fraction_one": (lambda: small_config(single_qubit_fraction=1.0),
+                     "single-qubit fraction must be in (0,1)"),
+    "fraction_nan": (lambda: small_config(single_qubit_fraction=math.nan),
+                     "single-qubit fraction must be in (0,1)"),
+    "gate_multiplier": (lambda: small_config(gate_multiplier=0), RUNS),
+    "blocks": (lambda: small_config(blocks=0), RUNS),
+    "programs": (lambda: small_config(programs=0), RUNS),
+    "gates_per_circuit": (lambda: small_config(widths=(2, 10), gate_multiplier=100_001),
+                          "1000010 gates per circuit exceeds 1000000"),
+    "seed": (lambda: small_config(seed=-1), "seed must be non-negative"),
+    "fixed_dead_too_many": (lambda: BenchConfig(widths=(4,), dead_mode=DeadMode("fixed", 5)),
+                            "dead mode fixed:5 gives 5 dead qubits at width 4"),
+    "pct_dead_leaves_none": (lambda: small_config(widths=(3, 2), dead_mode=DeadMode("pct", 100)),
+                             "dead mode pct:100 gives 3 dead qubits at width 3"),
+    "palette_unknown": (lambda: small_config(palette=("cx", "iswap")),
+                        "unsupported two-qubit palette entries: ['iswap']"),
+    "palette_empty": (lambda: small_config(palette=()),
+                      "unsupported two-qubit palette entries: []"),
+    **{f"verify_fraction_{f}": (lambda f=f: small_config(verify_fraction=f),
+                                VERIFY_FRACTION + str(f))
+       for f in (7.0, -1.0, math.nan, math.inf, 1e-320)},
+    "random_circuit_width_one": (lambda: random_circuit(1, 10, 0.1, seed=5),
+                                 "two-qubit gates need width >= 2"),
+    "random_circuit_nan_fraction": (lambda: random_circuit(1, 5, math.nan, seed=0),
+                                    "two-qubit gates need width >= 2"),
+    "select_dead_leaves_none": (lambda: select_dead(3, DeadMode("fixed", 3), seed=1),
+                                "dead count 3 must leave at least one kept wire (w=3)"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            call()
+        assert err.type is ValueError
 
 
 class TestRunBench:
@@ -471,21 +510,10 @@ class TestRunBench:
             assert report.initial_gate_count == len(c.gates)
             assert 0 <= len(report.removed) <= report.initial_gate_count
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(small_config(widths=(4,), dead_mode=DeadMode("fixed", 5)))
-        with pytest.raises(ValueError):
-            run_bench(small_config(widths=(1, 3)))
-        with pytest.raises(ValueError):
-            run_bench(small_config(palette=("cx", "iswap")))
-
-    def test_invalid_config_raises_at_construction(self):
-        with pytest.raises(ValueError, match="gives 5 dead qubits at width 4"):
-            BenchConfig(widths=(4,), dead_mode=DeadMode("fixed", 5))
-        # the gate bound is on gate_multiplier * the widest width
+    def test_bounds_admit_their_limits(self):
+        # the gate bound is on gate_multiplier * the widest width (the
+        # refusal table's `gates_per_circuit` row is one gate over)
         small_config(widths=(2, 10), gate_multiplier=100_000)
-        with pytest.raises(ValueError, match="^1000010 gates per circuit exceeds 1000000$"):
-            small_config(widths=(2, 10), gate_multiplier=100_001)
         # a sweep holds one total per width, so its block count is unbounded
         small_config(widths=(2,), programs=1_500_001, blocks=1)
 

@@ -55,38 +55,29 @@ class TestBuildCircuit:
         assert c.gates == ()
         assert frontier(c) == set()
 
-    def test_duplicate_qubit_rejected(self):
-        with pytest.raises(CircuitError):
-            build_circuit(2, [Controlled("X", (0,), 0)])
-
-    def test_out_of_range_qubit(self):
-        with pytest.raises(CircuitError):
-            build_circuit(2, [SingleQubit("H", 2)])
-        with pytest.raises(CircuitError):
-            build_circuit(2, [], dead={5})
-
-    def test_bad_params(self):
-        with pytest.raises(CircuitError):
-            build_circuit(1, [SingleQubit("RZ", 0)])
-        with pytest.raises(CircuitError):
-            build_circuit(1, [SingleQubit("H", 0, (0.5,))])
-
-    def test_controlled_needs_control(self):
-        with pytest.raises(CircuitError):
-            build_circuit(2, [Controlled("X", (), 0)])
-
-    @pytest.mark.parametrize("n, kinds, message", [
-        (2, [SingleQubit("FOO", 0)], "unknown gate base 'FOO'"),
-        (2, [Opaque("U", ())], "opaque block needs at least one qubit"),
-        (-1, [], "qubit count must be non-negative"),
-    ], ids=["unknown_base", "opaque_without_wires", "negative_width"])
-    def test_refusal_message(self, n, kinds, message):
+    @pytest.mark.parametrize("n, kinds, dead, message", [
+        (2, [Controlled("X", (0,), 0)], (), "duplicate qubit within one gate: x q[0] ctrl q[0]"),
+        (2, [Swap(1, 1)], (), "duplicate qubit within one gate: swap q[1],q[1]"),
+        (2, [SingleQubit("H", 2)], (), "qubit q[2] out of range for 2-qubit circuit"),
+        (2, [Opaque("U", (0, -1))], (), "qubit q[-1] out of range for 2-qubit circuit"),
+        (2, [SingleQubit("FOO", 0)], (), "unknown gate base 'FOO'"),
+        (1, [SingleQubit("RZ", 0)], (), "RZ expects 1 parameter(s), got 0"),
+        (1, [SingleQubit("H", 0, (0.5,))], (), "H expects 0 parameter(s), got 1"),
+        (2, [Controlled("X", (), 0)], (), "controlled gate needs at least one control"),
+        (2, [Opaque("U", ())], (), "opaque block needs at least one qubit"),
+        (-1, [], (), "qubit count must be non-negative"),
+        (2, [], {5}, "dead qubit q[5] out of range"),
+        # the dead set is checked before the gates, and a gate's wires
+        # for duplicates before their range
+        (2, [SingleQubit("H", 2)], {5}, "dead qubit q[5] out of range"),
+        (2, [Controlled("X", (5,), 5)], (), "duplicate qubit within one gate: x q[5] ctrl q[5]"),
+    ], ids=["duplicate_qubit", "swap_one_wire", "qubit_out_of_range", "negative_qubit",
+            "unknown_base", "missing_parameter", "extra_parameter", "no_control",
+            "opaque_without_wires", "negative_width", "dead_out_of_range",
+            "dead_before_gates", "duplicate_before_range"])
+    def test_refusal_message(self, n, kinds, dead, message):
         with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
-            build_circuit(n, kinds)
-
-    def test_swap_distinct(self):
-        with pytest.raises(CircuitError):
-            build_circuit(2, [Swap(1, 1)])
+            build_circuit(n, kinds, dead)
 
 
 class TestFrontier:

@@ -28,13 +28,16 @@ def write(tmp_path, name, text):
     return path
 
 
-NINES = "9" * 5000
-KEYWORDS = ("OPENQASM", "include", "qreg", "creg", "opaque", "measure")
-
-
 def one_qubit(gate):
     """A one-qubit file applying `gate` and measuring the wire."""
     return f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{gate} q[0];\nmeasure q[0] -> c[0];\n"
+
+
+def measuring(n, wires, body=""):
+    """An n-qubit file of `body`'s gate lines, measuring each of `wires`
+    into its own bit."""
+    measures = "".join(f"measure q[{w}] -> c[{w}];\n" for w in wires)
+    return f"OPENQASM 2.0;\nqreg q[{n}];\ncreg c[{n}];\n{body}{measures}"
 
 
 class TestOptimize:
@@ -85,44 +88,25 @@ class TestOptimize:
         # nothing removed: no breakdown, and the map stays sorted and unprinted
         assert capsys.readouterr() == ("removed 0 of 2 gates in 1 sweeps\n", "")
 
-    def test_parse_error_exit_2(self, tmp_path, capsys):
-        src = write(tmp_path, "bad.qasm", "OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\n")
-        out = tmp_path / "out.qasm"
-        assert main(["optimize", str(src), str(out)]) == 2
-        assert "bad.qasm:3" in capsys.readouterr().err
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.qasm"
+        assert main(["optimize", str(missing), str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"{missing}: No such file or directory\n")
 
-    def test_missing_file_exit_2(self, tmp_path):
-        assert main(["optimize", str(tmp_path / "nope.qasm"), str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("angle, why", [
-        ("pi/0", "division by zero"),
-        ("1e400", "not finite"),
-        ("1e308*10", "not finite"),
-        ("(" * 5000 + "1" + ")" * 5000, "nested deeper"),
-        ("-" * 5000 + "1", "nested deeper"),
-    ], ids=["div_zero", "huge_literal", "huge_product", "deep_parens", "deep_signs"])
-    def test_bad_angle_exit_2(self, tmp_path, capsys, angle, why):
-        text = f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\nrz({angle}) q[1];\n"
-        src = write(tmp_path, "bad.qasm", text)
-        assert main(["optimize", str(src), str(tmp_path / "out.qasm")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{src}:4: ") and why in err
-
-    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
-        src = tmp_path / "bin.qasm"
-        src.write_bytes(b"\xff\xfeOPENQASM 2.0;\nqreg q[1];\n")
-        assert main(["optimize", str(src), str(tmp_path / "out.qasm")]) == 2
-        assert capsys.readouterr().err.startswith(f"{src}: ")
-
-    def test_wire_measured_twice_exit_2(self, tmp_path, capsys):
-        text = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[2];\nh q[0];\n"
-                "measure q[0] -> c[0];\nmeasure q[0] -> c[1];\n")
-        src = write(tmp_path, "twice.qasm", text)
-        for argv in (["optimize", str(src), str(tmp_path / "out.qasm")],
-                     ["verify", str(src), str(src)]):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"{src}:6: ") and "qubit q[0] measured twice" in err
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_line_ends_read_as_newlines(self, tmp_path, capsys, newline):
+        # a text-mode read makes one newline of CR LF and of CR
+        lines = ["OPENQASM 2.0;", "qreg q[2];", "creg c[2];", "h q[0];", "cx q[0],q[1];",
+                 "measure q[0] -> c[0];", "#pragma dge discard q[1]", ""]
+        outputs = []
+        for name, ends in (("lf", "\n"), ("other", newline)):
+            src = tmp_path / f"{name}.qasm"
+            src.write_bytes(ends.join(lines).encode())
+            out = tmp_path / f"{name}.out.qasm"
+            assert main(["optimize", str(src), str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[1] == outputs[0]
+        assert b"\r" not in outputs[0][0]
 
     def test_qpe_breakdown(self, tmp_path, capsys):
         src = write(tmp_path, "qpe.qasm", fixtures.qpe_source(m=4, r=2))
@@ -135,60 +119,29 @@ class TestOptimize:
         assert rules.count("R1_single_on_dead") == 1
 
 
-class TestParseErrors:
-    """A file the parser rejects exits 2 with `path:line: message`, the
-    line named once, from optimize and from verify alike."""
+class TestLoadErrors:
+    """A file that does not load exits 2 with one stderr line naming it,
+    from optimize and from verify, whichever of verify's files is bad: a
+    parse error as `path:line: message` (tests/test_qasm.py pins every
+    message), bytes that do not decode as `path: reason`."""
 
-    @pytest.mark.parametrize("lines, line, message", [
-        (["qreg q[1];", "frobnicate q[0];"], 4, "unknown gate 'frobnicate'"),
-        (["qreg q[1];", "creg c[2];", "h q[0];", "measure q[0] -> c[0];",
-          "measure q[0] -> c[1];"], 7, "qubit q[0] measured twice"),
-        (["qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"], 5, "duplicate qubit in U"),
-        # numbers past int()'s digit limit, in each statement that has one
-        ([f"qreg q[{NINES}];"], 3, f"qreg size {NINES} above the maximum of 65536"),
-        (["qreg q[1];", f"creg c[{NINES}];"], 4,
-         f"creg size {NINES} above the maximum of 65536"),
-        (["qreg q[1];", f"h q[{NINES}];"], 4, f"qubit index {NINES} out of range (n=1)"),
-        (["qreg q[1];", "creg c[1];", f"measure q[0] -> c[{NINES}];"], 5,
-         f"classical bit {NINES} out of range (m=1)"),
-        (["qreg q[1];", f"#pragma dge discard q[{NINES}]"], 4,
-         f"qubit index {NINES} out of range (n=1)"),
-        # only a newline ends a line
-        (["qreg q[1];", "h q[0];\x0ch q[0];"], 4, "one statement per line"),
-        (["// a\x0cb", "qreg q[1];", "frobnicate q[0];"], 5, "unknown gate 'frobnicate'"),
-        *((["qreg q[1];", f"opaque {word} p0;"], 4, f"opaque name {word!r} is a reserved word")
-          for word in KEYWORDS),
-        (["qreg q[1];", "creg c[1];", "creg d[1];"], 5, "only one creg is supported"),
-        (["qreg q[1];", "opaque U p0;", "opaque U p0;"], 5, "opaque 'U' redeclared"),
-        (["qreg q[1];", "#pragma dge keep q[0]"], 4,
-         "unknown pragma (expected '#pragma dge discard q[i]')"),
-        (["#pragma dge discard q[0]", "qreg q[1];"], 3, "discard pragma before qreg declaration"),
-        (["qreg q[1];", "rz q[0];"], 4, "rz expects 1 parameter(s)"),
-        (["qreg q[2];", "cx q[0];"], 4, "cx expects 2 qubit(s)"),
-        (["qreg q[1];", "opaque U p0;", "U(1) q[0];"], 5, "opaque blocks take no parameters"),
-        (["qreg q[1];", "rz(,) q[0];"], 4, "empty gate parameter"),
-    ], ids=["unknown_gate", "wire_measured_twice", "opaque_wire_twice", "long_qreg",
-            "long_creg", "long_gate_arg", "long_measure_target", "long_discard",
-            "form_feed_between_statements", "form_feed_in_comment",
-            *(f"opaque_named_{word}" for word in KEYWORDS),
-            "second_creg", "opaque_redeclared", "unknown_pragma", "discard_before_qreg",
-            "parameter_count", "qubit_count", "opaque_with_parameter", "empty_parameter"])
-    def test_exact_stderr(self, tmp_path, capsys, lines, line, message):
-        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n' + "\n".join(lines) + "\n"
-        self.assert_refused(tmp_path, capsys, text, line, message)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_parse_error(self, tmp_path, capsys, newline):
+        # a text-mode read ends a line at CR LF and at CR as at LF
+        bad = tmp_path / "bad.qasm"
+        bad.write_bytes(newline.join(["OPENQASM 2.0;", "qreg q[1];", "frobnicate q[0];", ""])
+                        .encode())
+        self.assert_refused(tmp_path, capsys, bad, f"{bad}:3: unknown gate 'frobnicate'")
 
-    @pytest.mark.parametrize("text, line, message", [
-        ("", 1, "missing 'OPENQASM 2.0;' header"),
-        ("// only a comment\n", 1, "missing 'OPENQASM 2.0;' header"),
-        ("OPENQASM 2.0;\n\n\n", 3, "missing qreg declaration"),
-    ], ids=["empty", "comment_only", "header_only"])
-    def test_exact_stderr_whole_file(self, tmp_path, capsys, text, line, message):
-        self.assert_refused(tmp_path, capsys, text, line, message)
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        bad = tmp_path / "bin.qasm"
+        # input is read as UTF-8
+        bad.write_bytes(b"\xff\xfeOPENQASM 2.0;\nqreg q[1];\n")
+        self.assert_refused(tmp_path, capsys, bad, f"{bad}: 'utf-8' codec can't decode byte 0xff "
+                            "in position 0: invalid start byte")
 
-    def assert_refused(self, tmp_path, capsys, text, line, message):
-        bad = write(tmp_path, "bad.qasm", text)
+    def assert_refused(self, tmp_path, capsys, bad, message):
         good = write(tmp_path, "good.qasm", fixtures.cnot_source())
-        expected = f"{bad}:{line}: {message}\n"
         for argv in (
             ["optimize", str(bad), str(tmp_path / "out.qasm")],
             ["verify", str(bad), str(good)],
@@ -196,7 +149,7 @@ class TestParseErrors:
             ["verify", str(bad), str(bad)],
         ):
             assert main(argv) == 2
-            assert capsys.readouterr() == ("", expected)
+            assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +177,81 @@ class TestMutants:
                 assert err.getvalue().startswith(f"{src}:")
 
 
+# The files the verify table compares, by name.
+VERIFY_FILES = {
+    "h": one_qubit("h"),
+    "x": one_qubit("x"),
+    "cnot": fixtures.cnot_source(),
+    "three_qubit": fixtures.three_qubit_example_source(),
+    **{f"measuring_{''.join(map(str, ws))}": measuring(3, ws)
+       for ws in ((1,), (0, 1), (0, 1, 2), (0, 2))},
+    "bit_0": "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n",
+    "bit_1": "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[1];\n",
+    "unmeasured_h": "OPENQASM 2.0;\nqreg q[2];\nh q[0];\n",
+    "unmeasured_xcx": "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0],q[1];\n",
+    "discarded": ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\n"
+                  "#pragma dge discard q[0]\n"),
+    # a SWAP that moves deadness from q[0] to q[1], and the file without
+    # it: equivalent under the pairing 0:1
+    "swap": measuring(2, [1], "h q[1];\nswap q[0],q[1];\n"),
+    "bare": measuring(2, [0], "h q[1];\n") + "#pragma dge discard q[1]\n",
+    "qpe": fixtures.qpe_source(m=4, r=2),
+    "wide": measuring(13, [0], "h q[0];\n"),
+}
+QUBIT_COUNTS = "qubit counts differ: 2 vs 3"
+NO_KEPT_BITS = "no kept bits to compare: every wire is dead"
+BIJECTION = "pairing must be a bijection between the dead wires unique to each side"
+
+# Every refusal of verify's arguments, as (file A, file B, options,
+# message), with rows that pin which of two refusals comes first.
+VERIFY_REFUSALS = {
+    "qubit_counts": ("cnot", "three_qubit", [], QUBIT_COUNTS),
+    # `--map` cannot mend files of two widths, so the error must not suggest it
+    **{f"qubit_counts_{name}": ("cnot", name, [], QUBIT_COUNTS)
+       for name in ("measuring_1", "measuring_01", "measuring_012")},
+    # the counts are checked before A's dead wire 0 is paired with B's wire 1
+    "qubit_counts_before_map": ("cnot", "measuring_02", ["--map", "0:1"], QUBIT_COUNTS),
+    "kept_bits_differ": ("bit_0", "bit_1", [], "kept classical bits differ between the files; "
+                         "use --map for relabeled comparisons"),
+    # with nothing measured every marginal is 1, so the files would agree
+    # whatever their gates; measured but discarded is no different
+    "no_kept_bits": ("unmeasured_h", "unmeasured_xcx", [], NO_KEPT_BITS),
+    "no_kept_bits_discarded": ("discarded", "unmeasured_h", [], NO_KEPT_BITS),
+    "map_not_bijective": ("swap", "bare", ["--map", "1:0"], BIJECTION),
+    # B's dead set {0, 1} is one larger than A's {0}
+    "map_dead_sets_differ_in_size": ("swap", "unmeasured_h", ["--map", "1:0"], BIJECTION),
+    "map_left_twice": ("swap", "bare", ["--map", "0:5,0:1"], "--map names a wire twice in '0:1'"),
+    "map_right_twice": ("swap", "bare", ["--map", "0:1,1:1"],
+                        "--map names a wire twice in '1:1'"),
+    "map_three_parts": ("swap", "bare", ["--map", "0:1:2"],
+                        "--map item '0:1:2' is not of the form i:j"),
+    "map_one_part": ("swap", "bare", ["--map", "0"], "--map item '0' is not of the form i:j"),
+    # the oracle decides these (tests/test_oracle.py pins its messages);
+    # one row per option shows verify passes it on, --tol as a float
+    "samples_0": ("h", "x", ["--samples", "0"], "samples must be at least 1, got 0"),
+    "tol_5": ("h", "x", ["--tol", "5"], "tol must be finite and in [0, 1), got 5.0"),
+    "seed": ("h", "h", ["--seed", "-1"], "seed must be non-negative, got -1"),
+    "cap": ("qpe", "qpe", ["--qubit-limit", "6"], "7 qubits exceeds the cap of 6"),
+    # the argparse default of --qubit-limit
+    "default_cap": ("wide", "wide", [], "13 qubits exceeds the cap of 12"),
+    # --samples, --tol, --seed and the cap are checked in that order
+    "samples_before_tol": ("wide", "wide", ["--samples", "0", "--tol", "5"],
+                           "samples must be at least 1, got 0"),
+    "tol_before_seed": ("wide", "wide", ["--tol", "5", "--seed", "-1"],
+                        "tol must be finite and in [0, 1), got 5.0"),
+    "seed_before_cap": ("wide", "wide", ["--seed", "-1", "--qubit-limit", "12"],
+                        "seed must be non-negative, got -1"),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("a, b, options, message", VERIFY_REFUSALS.values(),
+                             ids=VERIFY_REFUSALS)
+    def test_refusal(self, tmp_path, capsys, a, b, options, message):
+        paths = [str(write(tmp_path, f"{name}.qasm", VERIFY_FILES[name])) for name in (a, b)]
+        assert main(["verify", *paths, *options]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_fixture_pair_equivalent(self, tmp_path, capsys):
         a = write(tmp_path, "a.qasm", fixtures.three_qubit_example_source())
         b = write(tmp_path, "b.qasm", fixtures.three_qubit_simplified_source())
@@ -244,55 +271,6 @@ class TestVerify:
         assert main(["verify", str(a), str(a)]) == 0
         assert "max_discrepancy: 0.0" in capsys.readouterr().out
 
-    def test_qubit_count_mismatch_exit_2(self, tmp_path, capsys):
-        a = write(tmp_path, "a.qasm", fixtures.cnot_source())
-        b = write(tmp_path, "b.qasm", fixtures.three_qubit_example_source())
-        assert main(["verify", str(a), str(b)]) == 2
-        capsys.readouterr()
-        # the counts are checked before A's dead wire 0 is paired with C's wire 1
-        c = write(tmp_path, "c.qasm", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
-                  "measure q[0] -> c[0];\nmeasure q[2] -> c[2];\n")
-        assert main(["verify", str(a), str(c), "--map", "0:1"]) == 2
-        assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
-
-    @pytest.mark.parametrize("measured", [(1,), (0, 1), (0, 1, 2)], ids=str)
-    def test_widths_differ_whatever_the_kept_bits(self, tmp_path, capsys, measured):
-        # `--map` cannot mend files of two widths, so the error must not suggest it
-        a = write(tmp_path, "a.qasm", fixtures.cnot_source())
-        b = write(tmp_path, "b.qasm", "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
-                  + "".join(f"measure q[{w}] -> c[{w}];\n" for w in measured))
-        assert main(["verify", str(a), str(b)]) == 2
-        assert capsys.readouterr() == ("", "qubit counts differ: 2 vs 3\n")
-
-    def test_kept_bits_differ_exit_2(self, tmp_path, capsys):
-        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n"
-        a = write(tmp_path, "a.qasm", head + "measure q[0] -> c[0];\n")
-        b = write(tmp_path, "b.qasm", head + "measure q[0] -> c[1];\n")
-        assert main(["verify", str(a), str(b)]) == 2
-        assert capsys.readouterr() == ("", (
-            "kept classical bits differ between the files; "
-            "use --map for relabeled comparisons\n"
-        ))
-
-    def test_no_kept_bits_exit_2(self, tmp_path, capsys):
-        # with nothing measured every marginal is 1, so the files would
-        # agree whatever their gates; `--map` always keeps a wire of A
-        head = "OPENQASM 2.0;\nqreg q[2];\n"
-        a = write(tmp_path, "a.qasm", head + "h q[0];\n")
-        b = write(tmp_path, "b.qasm", head + "x q[0];\ncx q[0],q[1];\n")
-        assert main(["verify", str(a), str(b)]) == 2
-        assert capsys.readouterr() == ("", "no kept bits to compare: every wire is dead\n")
-        # measured but discarded is no different
-        c = write(tmp_path, "c.qasm", head + "creg c[1];\nmeasure q[0] -> c[0];\n"
-                  "#pragma dge discard q[0]\n")
-        assert main(["verify", str(c), str(a)]) == 2
-        assert capsys.readouterr() == ("", "no kept bits to compare: every wire is dead\n")
-
-    def test_negative_seed_exit_2(self, tmp_path, capsys):
-        a = write(tmp_path, "h.qasm", one_qubit("h"))
-        assert main(["verify", str(a), str(a), "--seed", "-1"]) == 2
-        assert capsys.readouterr() == ("", "seed must be non-negative, got -1\n")
-
     def test_witness_marks_bits_not_simulated(self, tmp_path, capsys):
         # wire 1 is untouched and read alike, so its bit is not compared
         head = "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
@@ -303,105 +281,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert re.search(r"^witness_outcome: [01]x[01]$", out, re.M), out
 
-    def test_opaque_arity_mismatch_exit_2(self, tmp_path, capsys):
-        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
-        measure = "measure q[0] -> c[0];\n"
-        a = write(tmp_path, "a.qasm", head + "opaque U p0;\nU q[0];\n" + measure)
-        b = write(tmp_path, "b.qasm", head + "opaque U p0,p1;\nU q[0],q[1];\n" + measure)
-        assert main(["verify", str(a), str(b)]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", "opaque label 'U' used with inconsistent arity\n"
-        )
-
-    def test_qubit_limit_exit_2(self, tmp_path, capsys):
-        a = write(tmp_path, "a.qasm", fixtures.qpe_source(m=4, r=2))
-        assert main(["verify", str(a), str(a), "--qubit-limit", "6"]) == 2
-        assert capsys.readouterr() == ("", "7 qubits exceeds the cap of 6\n")
-
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
-        a = write(tmp_path, "h.qasm", one_qubit("h"))
-        b = write(tmp_path, "x.qasm", one_qubit("x"))
-        assert main(["verify", str(a), str(b)]) == 1
-        capsys.readouterr()
-        assert main(["verify", str(a), str(b), "--samples", samples]) == 2
-        assert capsys.readouterr() == ("", f"samples must be at least 1, got {samples}\n")
-
-    def map_pair(self, tmp_path):
-        """A SWAP that moves deadness from q[0] to q[1], and the file
-        without it: equivalent under the pairing 0:1."""
-        swap = "\n".join(
-            [
-                "OPENQASM 2.0;",
-                "qreg q[2];",
-                "creg c[2];",
-                "h q[1];",
-                "swap q[0],q[1];",
-                "measure q[1] -> c[1];",
-                "",
-            ]
-        )
-        bare = "\n".join(
-            [
-                "OPENQASM 2.0;",
-                "qreg q[2];",
-                "creg c[2];",
-                "h q[1];",
-                "measure q[0] -> c[0];",
-                "#pragma dge discard q[1]",
-                "",
-            ]
-        )
-        return write(tmp_path, "a.qasm", swap), write(tmp_path, "b.qasm", bare)
-
     def test_map_pairing(self, tmp_path):
-        a, b = self.map_pair(tmp_path)
+        a = write(tmp_path, "a.qasm", VERIFY_FILES["swap"])
+        b = write(tmp_path, "b.qasm", VERIFY_FILES["bare"])
         assert main(["verify", str(a), str(b), "--map", "0:1"]) == 0
 
-    @pytest.mark.parametrize("pairing, why", [
-        ("1:0", "bijection"),
-        ("0:5,0:1", "twice"),
-        ("0:1:2", "not of the form"),
-        ("0", "not of the form"),
-    ], ids=["not_bijective", "duplicate_key", "three_parts", "one_part"])
-    def test_bad_map_exit_2(self, tmp_path, capsys, pairing, why):
-        a, b = self.map_pair(tmp_path)
-        assert main(["verify", str(a), str(b), "--map", pairing]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and why in captured.err
-
-    def test_unequal_dead_sets_get_bijection_message(self, tmp_path, capsys):
-        # B's dead set {0, 1} is one larger than A's {1}
-        a, _ = self.map_pair(tmp_path)
-        b = write(tmp_path, "none.qasm", "OPENQASM 2.0;\nqreg q[2];\nh q[1];\n")
-        assert main(["verify", str(a), str(b), "--map", "1:0"]) == 2
-        assert capsys.readouterr() == ("", (
-            "pairing must be a bijection between the dead wires unique to each side\n"
-        ))
-
-    @pytest.mark.parametrize("tol", ["5", "1", "inf", "-1", "nan"])
-    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
-        a = write(tmp_path, "h.qasm", one_qubit("h"))
-        b = write(tmp_path, "x.qasm", one_qubit("x"))
-        assert main(["verify", str(a), str(b), "--tol", tol]) == 2
-        assert capsys.readouterr() == (
-            "", f"tol must be finite and in [0, 1), got {float(tol)}\n"
-        )
-
     def test_optimized_swap_verifies_through_measure_map(self, tmp_path):
-        text = "\n".join(
-            [
-                "OPENQASM 2.0;",
-                "qreg q[2];",
-                "creg c[2];",
-                "h q[1];",
-                "swap q[0],q[1];",
-                "measure q[1] -> c[1];",
-                "",
-            ]
-        )
-        src = write(tmp_path, "in.qasm", text)
+        src = write(tmp_path, "in.qasm", VERIFY_FILES["swap"])
         out = tmp_path / "out.qasm"
         assert main(["optimize", str(src), str(out)]) == 0
         assert main(["verify", str(src), str(out)]) == 0
@@ -420,25 +306,6 @@ class TestBench:
         assert len(lines) == 1 + 4
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert manifest["seed"] == 7
-
-    def test_fixed_dead_too_large_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--widths", "4", "--dead", "fixed:5", "--out", str(out),
-        ])
-        assert code == 2
-        assert "dead" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("fraction", ["7", "-1", "nan", "inf", "1e-320"])
-    def test_bad_verify_fraction_exit_2(self, tmp_path, capsys, fraction):
-        out = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--widths", "4", "--programs", "1", "--blocks", "1",
-            "--verify-fraction", fraction, "--out", str(out),
-        ])
-        assert code == 2
-        assert "verify fraction" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_two_part_width_range(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -464,9 +331,15 @@ class TestBench:
         (["--blocks", "0"], "gate multiplier, blocks and programs must be >= 1"),
         (["--programs", "0"], "gate multiplier, blocks and programs must be >= 1"),
         (["--seed", "-1"], "seed must be non-negative"),
+        (["--dead", "fixed:5"], "dead mode fixed:5 gives 5 dead qubits at width 4"),
+        # each palette entry is read without its spaces
+        (["--palette", "cx, iswap"], "unsupported two-qubit palette entries: ['iswap']"),
+        *((["--verify-fraction", f], "verify fraction must be in [0, 1] with a finite "
+           f"1/fraction, got {float(f)}") for f in ("7", "-1", "nan", "inf", "1e-320")),
     ], ids=["range_four_parts", "range_descending", "range_zero_step", "range_not_int",
             "list_not_int", "dead_not_int", "dead_zero", "fraction", "gate_multiplier",
-            "blocks", "programs", "seed"])
+            "blocks", "programs", "seed", "dead_too_many", "palette",
+            *(f"verify_fraction_{f}" for f in ("7", "-1", "nan", "inf", "1e-320"))])
     def test_bad_config_exit_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--widths", "4", *flags, "--out", str(out)]) == 2
@@ -616,7 +489,7 @@ class TestWritePath:
         out = tmp_path / "dir"
         out.mkdir()
         assert self.optimize(tmp_path, fixtures.cnot_source(), out, tmp_path / "r") == 2
-        assert capsys.readouterr().err.startswith(f"{out}: ")
+        assert capsys.readouterr() == ("", f"{out}: Is a directory\n")
 
     def test_directory_report_refused_before_the_pass(self, tmp_path, capsys, monkeypatch):
         def pass_(*args):
@@ -687,7 +560,7 @@ class TestEntryPoints:
         done = run_python("-m", module, "verify", str(a), str(b))
         assert done.returncode == code, done.stderr
         if code == 2:
-            assert done.stderr.startswith(f"{b}:4: ")
+            assert done.stderr == f"{b}:4: unknown gate 'frobnicate'\n"
         else:
             assert done.stdout.startswith("verdict: ")
 

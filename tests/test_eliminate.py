@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadgate import (
@@ -54,83 +54,87 @@ def bench_circuits(draw) -> Circuit:
     return with_dead(c, dead)
 
 
-def parsed(n: int, statement: str, measured) -> Circuit:
-    """A parsed program: one gate statement, then measures of `measured`;
-    every other wire is dead."""
-    lines = ["OPENQASM 2.0;", f"qreg q[{n}];", f"creg c[{n}];", statement]
-    lines += [f"measure q[{w}] -> c[{w}];" for w in measured]
+def rule_example(n: int, gates, dead) -> Circuit:
+    """The circuit of a RULE_EXAMPLES row: `gates` is a kind list, or one
+    gate statement, parsed with every wire outside `dead` measured."""
+    if not isinstance(gates, str):
+        return build_circuit(n, gates, dead)
+    lines = ["OPENQASM 2.0;", f"qreg q[{n}];", f"creg c[{n}];", gates]
+    lines += [f"measure q[{w}] -> c[{w}];" for w in range(n) if w not in dead]
     return parse("\n".join(lines) + "\n").circuit
 
 
 R1, R2, R3, R4 = RemovalRule
 
-# circuit, flags, removed (id, rule) pairs, dead, outcome map, sweeps, checks
+# width, gates, dead set, flags, then the pass's removed (id, rule)
+# pairs, dead set, outcome map, sweeps and checks: plain data, built into
+# a circuit by `rule_example` when the row runs
 RULE_EXAMPLES = [
-    pytest.param(build_circuit(2, [SingleQubit("H", 0)], dead={0}), RuleFlags(),
+    pytest.param(2, [SingleQubit("H", 0)], {0}, RuleFlags(),
                  [(0, R1)], {0}, (0, 1), 2, 1, id="single_on_dead_wire"),
-    pytest.param(build_circuit(2, [SingleQubit("H", 1)], dead={0}), RuleFlags(),
+    pytest.param(2, [SingleQubit("H", 1)], {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 1, id="single_on_live_wire"),
     # the live H stays at position 1; ids name positions in the input
-    pytest.param(build_circuit(2, [SingleQubit("H", 0), SingleQubit("H", 1)], dead={0}),
+    pytest.param(2, [SingleQubit("H", 0), SingleQubit("H", 1)], {0},
                  RuleFlags(), [(0, R1)], {0}, (0, 1), 2, 3, id="single_before_live_gate"),
     # the X is removed in sweep 1, which brings the H to the frontier in sweep 2
-    pytest.param(build_circuit(2, [SingleQubit("H", 0), SingleQubit("X", 0)], dead={0}),
+    pytest.param(2, [SingleQubit("H", 0), SingleQubit("X", 0)], {0},
                  RuleFlags(), [(1, R1), (0, R1)], {0}, (0, 1), 3, 2, id="dead_wire_chain"),
     # the kept cx blocks the H on the dead wire: it is never checked
-    pytest.param(build_circuit(2, [SingleQubit("H", 0), Controlled("X", (0,), 1)], dead={0}),
+    pytest.param(2, [SingleQubit("H", 0), Controlled("X", (0,), 1)], {0},
                  RuleFlags(), [], {0}, (0, 1), 1, 1, id="dead_gate_behind_kept_gate"),
-    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={1}), RuleFlags(),
+    pytest.param(2, [Controlled("X", (0,), 1)], {1}, RuleFlags(),
                  [(0, R2)], {1}, (0, 1), 2, 1, id="cx_dead_target"),
-    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={0}), RuleFlags(),
+    pytest.param(2, [Controlled("X", (0,), 1)], {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 1, id="cx_dead_control_live_target"),
-    pytest.param(build_circuit(2, [Controlled("X", (0,), 1)], dead={0, 1}), RuleFlags(),
+    pytest.param(2, [Controlled("X", (0,), 1)], {0, 1}, RuleFlags(),
                  [(0, R2)], {0, 1}, (0, 1), 2, 1, id="cx_both_dead"),
-    pytest.param(build_circuit(3, [Controlled("X", (0, 1), 2)], dead={2}), RuleFlags(),
+    pytest.param(3, [Controlled("X", (0, 1), 2)], {2}, RuleFlags(),
                  [(0, R2)], {2}, (0, 1, 2), 2, 1, id="ccx_dead_target"),
     # dead controls are not enough, even under the extension
-    pytest.param(build_circuit(3, [Controlled("X", (0, 1), 2)], dead={0, 1}),
+    pytest.param(3, [Controlled("X", (0, 1), 2)], {0, 1},
                  RuleFlags(extended=True),
                  [], {0, 1}, (0, 1, 2), 1, 1, id="ccx_dead_controls_extended"),
     # cz and ccz target their highest wire, whatever order they are written in
-    pytest.param(parsed(2, "cz q[1],q[0];", [0]), RuleFlags(),
+    pytest.param(2, "cz q[1],q[0];", {1}, RuleFlags(),
                  [(0, R2)], {1}, (0, 1), 2, 1, id="cz_highest_wire_dead"),
-    pytest.param(parsed(2, "cz q[1],q[0];", [1]), RuleFlags(),
+    pytest.param(2, "cz q[1],q[0];", {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 1, id="cz_lowest_wire_dead"),
-    pytest.param(parsed(3, "ccz q[2],q[0],q[1];", [0, 1]), RuleFlags(),
+    pytest.param(3, "ccz q[2],q[0],q[1];", {2}, RuleFlags(),
                  [(0, R2)], {2}, (0, 1, 2), 2, 1, id="ccz_out_of_wire_order"),
     # label 1's outcome now lives on wire 0, and vice versa
-    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0}), RuleFlags(),
+    pytest.param(2, [Swap(0, 1)], {0}, RuleFlags(),
                  [(0, R3)], {1}, (1, 0), 2, 1, id="swap_one_dead_endpoint"),
-    pytest.param(build_circuit(3, [Swap(0, 1)], dead={1}), RuleFlags(),
+    pytest.param(3, [Swap(0, 1)], {1}, RuleFlags(),
                  [(0, R3)], {0}, (1, 0, 2), 2, 1, id="swap_dead_second_endpoint"),
     # after the relabel the H sits on the dead wire and goes by R1
-    pytest.param(build_circuit(2, [SingleQubit("H", 1), Swap(0, 1)], dead={0}), RuleFlags(),
+    pytest.param(2, [SingleQubit("H", 1), Swap(0, 1)], {0}, RuleFlags(),
                  [(1, R3), (0, R1)], {1}, (1, 0), 3, 2, id="swap_then_relabelled_gate"),
     # the H on the live wire is kept and blocks the SWAP
-    pytest.param(build_circuit(2, [Swap(0, 1), SingleQubit("H", 1)], dead={0}), RuleFlags(),
+    pytest.param(2, [Swap(0, 1), SingleQubit("H", 1)], {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 1, id="swap_behind_kept_gate"),
-    pytest.param(build_circuit(3, [Swap(0, 1)], dead={2}), RuleFlags(),
+    pytest.param(3, [Swap(0, 1)], {2}, RuleFlags(),
                  [], {2}, (0, 1, 2), 1, 1, id="swap_both_live"),
-    pytest.param(build_circuit(3, [Swap(0, 2)], dead={0, 2}), RuleFlags(),
+    pytest.param(3, [Swap(0, 2)], {0, 2}, RuleFlags(),
                  [(0, R3)], {0, 2}, (0, 1, 2), 2, 1, id="swap_both_dead_no_relabel"),
-    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0}), RuleFlags(swap_relabel=False),
+    pytest.param(2, [Swap(0, 1)], {0}, RuleFlags(swap_relabel=False),
                  [], {0}, (0, 1), 1, 1, id="swap_relabel_off"),
-    pytest.param(build_circuit(2, [Swap(0, 1)], dead={0, 1}),
+    pytest.param(2, [Swap(0, 1)], {0, 1},
                  RuleFlags(extended=True, swap_relabel=False),
                  [(0, R4)], {0, 1}, (0, 1), 2, 1, id="swap_relabel_off_extended_both_dead"),
-    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0, 1}), RuleFlags(),
+    pytest.param(3, [Opaque("B", (0, 1))], {0, 1}, RuleFlags(),
                  [], {0, 1}, (0, 1, 2), 1, 1, id="all_dead_opaque_default"),
-    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0, 1}),
+    pytest.param(3, [Opaque("B", (0, 1))], {0, 1},
                  RuleFlags(extended=True),
                  [(0, R4)], {0, 1}, (0, 1, 2), 2, 1, id="all_dead_opaque_extended"),
-    pytest.param(build_circuit(3, [Opaque("B", (0, 1))], dead={0}), RuleFlags(extended=True),
+    pytest.param(3, [Opaque("B", (0, 1))], {0}, RuleFlags(extended=True),
                  [], {0}, (0, 1, 2), 1, 1, id="part_dead_opaque_extended"),
     # a one-wire block is not a named one-qubit gate: R1 does not apply
-    pytest.param(build_circuit(2, [Opaque("B", (0,))], dead={0}), RuleFlags(),
+    pytest.param(2, [Opaque("B", (0,))], {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 1, id="one_wire_opaque_default"),
-    pytest.param(build_circuit(2, [Opaque("B", (0,))], dead={0}), RuleFlags(extended=True),
+    pytest.param(2, [Opaque("B", (0,))], {0}, RuleFlags(extended=True),
                  [(0, R4)], {0}, (0, 1), 2, 1, id="one_wire_opaque_extended"),
-    pytest.param(build_circuit(2, [], dead={0}), RuleFlags(),
+    pytest.param(2, [], {0}, RuleFlags(),
                  [], {0}, (0, 1), 1, 0, id="empty"),
 ]
 
@@ -140,9 +144,12 @@ class TestRuleExamples:
     against the sweep reference."""
 
     @pytest.mark.parametrize(
-        "c, flags, removed, dead, outcome_map, iterations, gate_checks", RULE_EXAMPLES
+        "n, gates, dead_in, flags, removed, dead, outcome_map, iterations, gate_checks",
+        RULE_EXAMPLES,
     )
-    def test_example(self, c, flags, removed, dead, outcome_map, iterations, gate_checks):
+    def test_example(self, n, gates, dead_in, flags, removed, dead, outcome_map, iterations,
+                     gate_checks):
+        c = rule_example(n, gates, dead_in)
         opt, rep = eliminate_dead_gates(c, flags)
         assert [(r.id, r.rule) for r in rep.removed] == [(i, r.value) for i, r in removed]
         gone = {i for i, _ in removed}
@@ -345,17 +352,26 @@ class TestReportIdsArePositions:
 
     @settings(max_examples=300, deadline=None)
     @given(c=dead_circuits() | bench_circuits(), passes=st.sampled_from(SECOND_PASSES))
-    # the first pass removes gate 0, and the second gate 1, now at position 0
-    @example(c=build_circuit(2, [SingleQubit("H", 1), Opaque("B", (0,))], dead={0, 1}),
-             passes=SECOND_PASSES[0])
-    @example(c=build_circuit(3, [SingleQubit("H", 0), Swap(1, 2)], dead={0, 2}),
-             passes=SECOND_PASSES[1])
     def test_second_pass_on_a_pass_output(self, c, passes):
-        first, second = passes
-        once, _ = eliminate_dead_gates(c, first)
-        _, report = eliminate_dead_gates(once, second)
-        assert_ids_are_positions(once, report)
-        assert_matches_sweep(once, second)
+        assert_second_pass(c, passes)
+
+    # the first pass removes gate 0, and the second gate 1, now at position 0
+    @pytest.mark.parametrize("n, kinds, dead, passes", [
+        (2, [SingleQubit("H", 1), Opaque("B", (0,))], {0, 1}, SECOND_PASSES[0]),
+        (3, [SingleQubit("H", 0), Swap(1, 2)], {0, 2}, SECOND_PASSES[1]),
+    ], ids=["extended_second", "relabel_second"])
+    def test_second_pass_removes_a_moved_gate(self, n, kinds, dead, passes):
+        assert_second_pass(build_circuit(n, kinds, dead), passes)
+
+
+def assert_second_pass(c: Circuit, passes) -> None:
+    """A second pass on the first's output numbers its removals by their
+    positions in that output, and matches the sweep reference there."""
+    first, second = passes
+    once, _ = eliminate_dead_gates(c, first)
+    _, report = eliminate_dead_gates(once, second)
+    assert_ids_are_positions(once, report)
+    assert_matches_sweep(once, second)
 
 
 def dumped_report(report: OptimizationReport) -> str:

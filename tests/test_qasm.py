@@ -29,6 +29,124 @@ def program(*lines: str) -> str:
     return HEADER + "\n".join(lines) + "\n"
 
 
+HEAD = HEADER.splitlines()
+NINES = "9" * 5000  # past int()'s digit limit
+DEEP_PARENS = "(" * 5000 + "1" + ")" * 5000
+DEEP_SIGNS = "-" * 5000 + "1"
+KEYWORDS = ("OPENQASM", "include", "qreg", "creg", "opaque", "measure")
+
+# Every refusal the parser makes, as (file lines, the line the error
+# names, its message): at least one row per place that raises, and rows
+# that pin which of two refusals comes first.
+REFUSALS = {
+    # the header and the statements
+    "empty": ([], 1, "missing 'OPENQASM 2.0;' header"),
+    "comment_only": (["// only a comment"], 1, "missing 'OPENQASM 2.0;' header"),
+    "first_statement_not_header": (["// a", "qreg q[2];"], 2,
+                                   "first statement must be 'OPENQASM 2.0;'"),
+    "header_only": (["OPENQASM 2.0;", "", ""], 3, "missing qreg declaration"),
+    "no_qreg": ([*HEAD, "creg c[1];"], 3, "missing qreg declaration"),
+    "other_include": ([*HEAD, 'include "other.inc";'], 3,
+                      "only 'include \"qelib1.inc\";' is supported"),
+    "no_semicolon": ([*HEAD, "qreg q[1];", "h q[0]"], 4, "statement must end with ';'"),
+    "two_statements": ([*HEAD, "qreg q[1];", "h q[0]; h q[0];"], 4, "one statement per line"),
+    # only a newline ends a line
+    "form_feed_between_statements": ([*HEAD, "qreg q[1];", "h q[0];\x0ch q[0];"], 4,
+                                     "one statement per line"),
+    "form_feed_in_comment": ([*HEAD, "// a\x0cb", "qreg q[1];", "frobnicate q[0];"], 5,
+                             "unknown gate 'frobnicate'"),
+    "not_a_statement": ([*HEAD, "qreg q[1];", "1 q[0];"], 4, "cannot parse statement '1 q[0]'"),
+    # registers; numbers past int()'s digit limit in each statement that has one
+    "malformed_qreg": ([*HEAD, "qreg q;"], 3, "malformed qreg declaration"),
+    "malformed_creg": ([*HEAD, "qreg q[1];", "creg c[];"], 4, "malformed creg declaration"),
+    "qreg_above_maximum": ([*HEAD, "qreg q[65537];"], 3,
+                           "qreg size 65537 above the maximum of 65536"),
+    "long_qreg": ([*HEAD, f"qreg q[{NINES}];"], 3,
+                  f"qreg size {NINES} above the maximum of 65536"),
+    "long_creg": ([*HEAD, "qreg q[1];", f"creg c[{NINES}];"], 4,
+                  f"creg size {NINES} above the maximum of 65536"),
+    "second_qreg": ([*HEAD, "qreg q[1];", "qreg r[1];"], 4, "only one qreg is supported"),
+    "second_creg": ([*HEAD, "qreg q[1];", "creg c[1];", "creg d[1];"], 5,
+                    "only one creg is supported"),
+    # opaque declarations
+    "malformed_opaque": ([*HEAD, "qreg q[1];", "opaque U;"], 4, "malformed opaque declaration"),
+    "opaque_named_h": ([*HEAD, "qreg q[1];", "opaque h p0;"], 4,
+                       "opaque name 'h' shadows a builtin gate"),
+    **{f"opaque_named_{word}": ([*HEAD, "qreg q[1];", f"opaque {word} p0;"], 4,
+                                f"opaque name {word!r} is a reserved word")
+       for word in KEYWORDS},
+    "opaque_redeclared": ([*HEAD, "qreg q[1];", "opaque U p0;", "opaque U p0;"], 5,
+                          "opaque 'U' redeclared"),
+    "opaque_formal_not_name": ([*HEAD, "qreg q[1];", "opaque U p0,1;"], 4,
+                               "opaque formals must be identifiers"),
+    # qubit references, measures and pragmas
+    "other_register": ([*HEAD, "qreg q[1];", "h r[0];"], 4, "expected q[i], got 'r[0]'"),
+    "qubit_out_of_range": ([*HEAD, "qreg q[2];", "h q[2];"], 4,
+                           "qubit index 2 out of range (n=2)"),
+    "long_gate_arg": ([*HEAD, "qreg q[1];", f"h q[{NINES}];"], 4,
+                      f"qubit index {NINES} out of range (n=1)"),
+    "malformed_measure": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0];"], 5,
+                          "malformed measure statement"),
+    "measure_without_creg": ([*HEAD, "qreg q[1];", "measure q[0] -> c[0];"], 4,
+                             "expected c[j] measure target"),
+    "measure_into_other_register": ([*HEAD, "qreg q[1];", "creg c[1];",
+                                     "measure q[0] -> d[0];"], 5,
+                                    "expected c[j] measure target"),
+    "clbit_out_of_range": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0] -> c[1];"], 5,
+                           "classical bit 1 out of range (m=1)"),
+    "long_measure_target": ([*HEAD, "qreg q[1];", "creg c[1];", f"measure q[0] -> c[{NINES}];"],
+                            5, f"classical bit {NINES} out of range (m=1)"),
+    "clbit_measured_twice": ([*HEAD, "qreg q[2];", "creg c[1];", "measure q[0] -> c[0];",
+                              "measure q[1] -> c[0];"], 6, "classical bit 0 measured twice"),
+    "wire_measured_twice": ([*HEAD, "qreg q[1];", "creg c[2];", "h q[0];",
+                             "measure q[0] -> c[0];", "measure q[0] -> c[1];"], 7,
+                            "qubit q[0] measured twice"),
+    "unknown_pragma": ([*HEAD, "qreg q[1];", "#pragma dge keep q[0]"], 4,
+                       "unknown pragma (expected '#pragma dge discard q[i]')"),
+    "discard_before_qreg": ([*HEAD, "#pragma dge discard q[0]", "qreg q[1];"], 3,
+                            "discard pragma before qreg declaration"),
+    "long_discard": ([*HEAD, "qreg q[1];", f"#pragma dge discard q[{NINES}]"], 4,
+                     f"qubit index {NINES} out of range (n=1)"),
+    # gates
+    "gate_before_qreg": ([*HEAD, "h q[0];"], 3, "gate before qreg declaration"),
+    "gate_after_measure": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0] -> c[0];",
+                            "h q[0];"], 6, "gate after measure (mid-circuit measurement)"),
+    "unknown_gate": ([*HEAD, "qreg q[1];", "frobnicate q[0];"], 4, "unknown gate 'frobnicate'"),
+    "missing_parameter": ([*HEAD, "qreg q[1];", "rz q[0];"], 4, "rz expects 1 parameter(s)"),
+    "extra_parameter": ([*HEAD, "qreg q[1];", "h(0.5) q[0];"], 4, "h expects 0 parameter(s)"),
+    "qubit_count": ([*HEAD, "qreg q[2];", "cx q[0];"], 4, "cx expects 2 qubit(s)"),
+    "qubit_count_before_duplicates": ([*HEAD, "qreg q[2];", "cx q[1],q[1],q[0];"], 4,
+                                      "cx expects 2 qubit(s)"),
+    "duplicate_qubit": ([*HEAD, "qreg q[2];", "cx q[1],q[1];"], 4, "duplicate qubit in cx"),
+    "opaque_with_parameter": ([*HEAD, "qreg q[1];", "opaque U p0;", "U(1) q[0];"], 5,
+                              "opaque blocks take no parameters"),
+    "opaque_arity": ([*HEAD, "qreg q[2];", "opaque U p0,p1;", "U q[0];"], 5,
+                     "U expects 2 qubit(s), got 1"),
+    "opaque_arity_before_duplicates": ([*HEAD, "qreg q[2];", "opaque U p0,p1;",
+                                        "U q[0],q[0],q[1];"], 5, "U expects 2 qubit(s), got 3"),
+    "opaque_wire_twice": ([*HEAD, "qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"], 5,
+                          "duplicate qubit in U"),
+    # angles: each way into the angle parser's refusal
+    "empty_parameter": ([*HEAD, "qreg q[1];", "rz(,) q[0];"], 4, "empty gate parameter"),
+    "angle_ends_early": ([*HEAD, "qreg q[1];", "rz(pi/) q[0];"], 4, "cannot parse angle 'pi/'"),
+    "angle_trailing_token": ([*HEAD, "qreg q[1];", "rz(1 2) q[0];"], 4,
+                             "cannot parse angle '1 2'"),
+    "angle_unclosed_paren": ([*HEAD, "qreg q[1];", "rz((1 2) q[0];"], 4,
+                             "cannot parse angle '(1 2'"),
+    "angle_not_a_number": ([*HEAD, "qreg q[1];", "rz(x) q[0];"], 4, "cannot parse angle 'x'"),
+    "angle_division_by_zero": ([*HEAD, "qreg q[1];", "rz(pi/0) q[0];"], 4,
+                               "cannot parse angle 'pi/0': division by zero"),
+    "angle_huge_literal": ([*HEAD, "qreg q[1];", "rz(1e400) q[0];"], 4,
+                           "cannot parse angle '1e400': value is not finite"),
+    "angle_huge_product": ([*HEAD, "qreg q[1];", "rz(1e308*10) q[0];"], 4,
+                           "cannot parse angle '1e308*10': value is not finite"),
+    "angle_deep_parens": ([*HEAD, "qreg q[1];", f"rz({DEEP_PARENS}) q[0];"], 4,
+                          f"cannot parse angle {DEEP_PARENS!r}: nested deeper than 100"),
+    "angle_deep_signs": ([*HEAD, "qreg q[1];", f"rz({DEEP_SIGNS}) q[0];"], 4,
+                         f"cannot parse angle {DEEP_SIGNS!r}: nested deeper than 100"),
+}
+
+
 class TestParse:
     def test_three_qubit_fixture(self):
         sc = parse(three_qubit_example_source())
@@ -42,15 +160,6 @@ class TestParse:
         sc = parse(HEADER + "qreg q[1];\n")
         assert sc.circuit.gates == ()
         assert sc.circuit.dead == {0}
-
-    def test_mid_circuit_measure_rejected(self):
-        text = program(
-            "qreg q[1];", "creg c[1];", "measure q[0] -> c[0];", "h q[0];"
-        )
-        with pytest.raises(QasmError) as err:
-            parse(text)
-        assert "measure" in str(err.value)
-        assert err.value.line == 6
 
     def test_discard_pragma(self):
         text = program(
@@ -100,77 +209,8 @@ class TestParse:
             [-math.pi, 2 * math.pi / 3, 1.5e-3, (math.pi + 1) / 2]
         )
 
-    def test_angle_parse_failure(self):
-        with pytest.raises(QasmError) as err:
-            parse(program("qreg q[1];", "rx(pi/) q[0];"))
-        assert err.value.line == 4
-
-    def test_unknown_gate(self):
-        with pytest.raises(QasmError) as err:
-            parse(program("qreg q[1];", "foo q[0];"))
-        assert "unknown gate" in str(err.value)
-
-    def test_missing_semicolon(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[1];", "h q[0]"))
-
-    def test_missing_header(self):
-        with pytest.raises(QasmError):
-            parse("qreg q[2];\n")
-
-    def test_second_qreg_rejected(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[1];", "qreg r[1];"))
-
-    def test_duplicate_clbit(self):
-        with pytest.raises(QasmError):
-            parse(program(
-                "qreg q[2];", "creg c[1];",
-                "measure q[0] -> c[0];", "measure q[1] -> c[0];",
-            ))
-
-    def test_wire_measured_twice(self):
-        with pytest.raises(QasmError) as err:
-            parse(program(
-                "qreg q[2];", "creg c[2];",
-                "measure q[0] -> c[0];", "measure q[0] -> c[1];",
-            ))
-        assert err.value.line == 6
-        assert "qubit q[0] measured twice" in str(err.value)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[2];", "h q[2];"))
-
-    def test_opaque_arity_checked(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[3];", "opaque B p0,p1;", "B q[0];"))
-
-    def test_opaque_shadowing_builtin_rejected(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[1];", "opaque h p0;"))
-
-    def test_duplicate_qubit_in_gate(self):
-        with pytest.raises(QasmError):
-            parse(program("qreg q[2];", "cx q[1],q[1];"))
-
-    def test_opaque_naming_one_wire_twice_rejected(self):
-        with pytest.raises(QasmError) as err:
-            parse(program("qreg q[2];", "opaque U p0,p1;", "U q[0],q[0];"))
-        assert err.value.line == 5
-        assert err.value.message == "duplicate qubit in U"
-
-    def test_opaque_arity_reported_before_duplicates(self):
-        with pytest.raises(QasmError) as err:
-            parse(program("qreg q[2];", "opaque U p0,p1;", "U q[0],q[0],q[1];"))
-        assert err.value.message == "U expects 2 qubit(s), got 3"
-
     def test_register_size_bound(self):
         assert parse(program("qreg q[65536];", "creg c[65536];")).circuit.n == 65536
-        with pytest.raises(QasmError) as err:
-            parse(program("qreg q[1000000];"))
-        assert err.value.line == 3
-        assert err.value.message == "qreg size 1000000 above the maximum of 65536"
 
     @pytest.mark.parametrize("separator", ["\x0c", "\u2028"], ids=["form_feed", "u2028"])
     def test_comment_holding_line_separator_ignored(self, separator):
@@ -186,6 +226,13 @@ class TestParse:
             "measure q[0] -> c[0];",
         )
         assert len(parse(text).circuit.gates) == 1
+
+    @pytest.mark.parametrize("lines, line, message", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal(self, lines, line, message):
+        with pytest.raises(QasmError) as err:
+            parse("".join(f"{text}\n" for text in lines))
+        assert (err.value.line, err.value.message) == (line, message)
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestSerialize:
