@@ -169,10 +169,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(path: Path):
-    """The parsed file at `path`. A parse or decode error is raised as a
-    ValueError that names the file; an OSError passes through."""
+    """The parsed file at `path`, read as UTF-8 whatever the locale. A
+    parse or decode error is raised as a ValueError that names the file;
+    an OSError passes through."""
     try:
-        return parse(path.read_text())
+        return parse(path.read_text(encoding="utf-8"))
     except QasmError as exc:
         raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
     except UnicodeDecodeError as exc:
@@ -336,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # The oracle's states hold at most 4,096 amplitudes, where a second
+    # The oracle's batches hold at most 16,384 amplitudes, where a second
     # BLAS thread costs CPU time and saves none. Set before numpy loads;
     # a value the user set wins.
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -33,10 +33,11 @@ from .circuit import (
 from .defaults import DEFAULT_QUBIT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL
 
 # Samples are simulated together, in batches of at most this many
-# amplitudes: the size of one state at the default cap. Memory stays that
-# of the largest single state, while small states pay each gate's call
-# overhead once per batch instead of once per sample.
-_BATCH_AMPLITUDES = 2**DEFAULT_QUBIT_CAP
+# amplitudes (256 KiB of complex128), so that a gate's call overhead is paid
+# once per batch instead of once per sample: at the default 20 samples,
+# states on up to 9 wires run in one batch. From 14 wires up a batch is
+# one state. A larger batch was no faster and held more memory.
+_BATCH_AMPLITUDES = 2**14
 # No cap lifts these: a 20-qubit state is 16 MiB, a 12-wire binding 256 MiB.
 _MAX_QUBITS = 20
 _MAX_BINDING_BYTES = 512 << 20
@@ -169,13 +170,12 @@ def _compile(
 
 
 def _apply(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    if len(axes) == 1:
-        # one matmul over the (before, axis, after) view: under half the
-        # cost of tensordot and moveaxis, unless few amplitudes follow the axis
-        (q,) = axes
-        shape = state.shape
-        return np.matmul(u, state.reshape(2**q, 2, -1)).reshape(shape)
     k = len(axes)
+    if k == 1 and 2 ** axes[0] <= state.size >> (axes[0] + 1):
+        # one matmul over the (before, axis, after) view, which makes one
+        # product per leading block: under half the cost of tensordot and
+        # moveaxis while no more blocks lead the axis than amplitudes follow it
+        return np.matmul(u, state.reshape(2 ** axes[0], 2, -1)).reshape(state.shape)
     tensor = u.reshape((2,) * (2 * k))
     state = np.tensordot(tensor, state, axes=(tuple(range(k, 2 * k)), axes))
     return np.moveaxis(state, tuple(range(k)), axes)

@@ -324,6 +324,8 @@ class _Parser:
         m = _MEASURE.fullmatch(stmt)
         if not m:
             raise QasmError(lineno, "malformed measure statement")
+        if self.qreg is None:
+            raise QasmError(lineno, "measure before qreg declaration")
         wire = self.qubit_ref(m[1], lineno)
         cm = _REF.fullmatch(m[2].strip())
         if not cm or self.creg is None or cm[1] != self.creg:

@@ -119,6 +119,12 @@ class TestOptimize:
         assert rules.count("R1_single_on_dead") == 1
 
 
+# Runs main on its arguments after printing the name of the locale's encoding.
+ASCII_CHILD = ("import codecs, locale, sys; from deadgate.cli import main; "
+               "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+               "sys.exit(main(sys.argv[1:]))")
+
+
 class TestLoadErrors:
     """A file that does not load exits 2 with one stderr line naming it,
     from optimize and from verify, whichever of verify's files is bad: a
@@ -139,6 +145,22 @@ class TestLoadErrors:
         bad.write_bytes(b"\xff\xfeOPENQASM 2.0;\nqreg q[1];\n")
         self.assert_refused(tmp_path, capsys, bad, f"{bad}: 'utf-8' codec can't decode byte 0xff "
                             "in position 0: invalid start byte")
+
+    @pytest.mark.parametrize("data, code, stderr", [
+        (b"OPENQASM 2.0;\n// caf\xc3\xa9\nqreg q[1];\ncreg c[1];\nh q[0];\n", 0, ""),
+        (b"\xff\xfeOPENQASM 2.0;\nqreg q[1];\n", 2,
+         "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    ], ids=["valid_utf8", "undecodable_bytes"])
+    def test_read_as_utf8_under_an_ascii_locale(self, tmp_path, data, code, stderr):
+        # LC_ALL=POSIX keeps Python from coercing the locale to C.UTF-8 and
+        # -X utf8=0 from its UTF-8 mode, so the child's locale encoding is
+        # ASCII; it prints that encoding's name before it runs optimize
+        path = tmp_path / "in.qasm"
+        path.write_bytes(data)
+        done = run_python("-X", "utf8=0", "-c", ASCII_CHILD, "optimize", str(path),
+                          str(tmp_path / "out.qasm"), LC_ALL="POSIX")
+        assert (done.returncode, done.stderr) == (code, stderr.format(path=path))
+        assert done.stdout.startswith("ascii\n")
 
     def assert_refused(self, tmp_path, capsys, bad, message):
         good = write(tmp_path, "good.qasm", fixtures.cnot_source())
@@ -507,8 +529,8 @@ class TestWritePath:
         assert fresh.read_bytes() == b""
 
 
-def run_python(*args):
-    env = dict(os.environ)
+def run_python(*args, **environ):
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120

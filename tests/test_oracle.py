@@ -106,6 +106,26 @@ class TestSimulate:
         assert np.allclose(out, full @ sv)
 
 
+class TestApply:
+    @pytest.mark.parametrize("batch", [1, 4, 20])
+    @pytest.mark.parametrize("width", [1, 6, 12])
+    def test_one_qubit_gate_on_every_axis(self, width, batch):
+        # a one-qubit gate contracts its axis with the matrix's columns,
+        # whichever way _apply takes for that axis, also on the strided
+        # layout a multi-qubit gate's moveaxis leaves
+        rng = np.random.default_rng([width, batch])
+        u = haar_unitary(2, rng)
+        shape = (2,) * width + (batch,)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(state, -1, 0)), 0, -1)
+        for q in range(width):
+            want = np.moveaxis(np.tensordot(u, state, axes=(1, q)), 0, q)
+            for given_state in (state, strided):
+                got = oracle._apply(given_state, u, (q,))
+                assert got.shape == shape
+                assert np.abs(got - want).max() <= 1e-12
+
+
 def state_marginal(amps, n, axes) -> np.ndarray:
     """`_marginal` of one state of 2**n amplitudes, as a (2,)*n + (1,) tensor."""
     return _marginal(np.asarray(amps).reshape((2,) * n + (1,)), tuple(axes))[0]
@@ -652,19 +672,19 @@ class TestBatchedOracle:
         c1, c2, wires1, wires2 = pair
         assert_matches_reference(c1, c2, wires1, wires2, samples=samples, seed=seed)
 
-    @pytest.mark.parametrize("n, batches", [
-        (10, [4, 4, 1]), (11, [2, 2, 2, 2, 1]), (12, [1] * 9),
+    @pytest.mark.parametrize("n, samples, batches", [
+        (10, 20, [16, 4]), (11, 20, [8, 8, 4]), (12, 9, [4, 4, 1]),
     ])
-    def test_batch_boundaries(self, monkeypatch, n, batches):
+    def test_batch_boundaries(self, monkeypatch, n, samples, batches):
         # the lists differ in their first gate and the rest touches every
-        # wire, so the states span all n wires
+        # wire, so the states span all n wires, 16384 >> n to a batch
         kinds = [SingleQubit("RY", q, (0.3 + 0.2 * q,)) for q in range(n)]
         kinds += [Controlled("X", (q,), q + 1) for q in range(n - 1)]
         c1 = build_circuit(n, [SingleQubit("H", n - 1)] + kinds)
         c2 = build_circuit(n, [SingleQubit("RX", n - 1, (0.4,))] + kinds)
         wires = [n - 1, 0]
         assert reduced_pair(c1, c2, wires, wires)[0].n == n
-        seed = worst_sample_beyond(c1, c2, wires, batches[0], samples=9)
+        seed = worst_sample_beyond(c1, c2, wires, batches[0], samples=samples)
         seen = []
         run = oracle._run
 
@@ -672,9 +692,9 @@ class TestBatchedOracle:
             seen.append(state.shape[-1])
             return run(ops, state)
 
-        want, _ = reference_marginal_equiv(c1, c2, wires, wires, samples=9, seed=seed)
+        want, _ = reference_marginal_equiv(c1, c2, wires, wires, samples=samples, seed=seed)
         monkeypatch.setattr(oracle, "_run", spy)
-        got = check_marginal_equiv(c1, c2, wires, wires, samples=9, seed=seed)
+        got = check_marginal_equiv(c1, c2, wires, wires, samples=samples, seed=seed)
         assert not got.equivalent
         assert abs(got.max_discrepancy - want.max_discrepancy) <= 1e-12
         assert got.witness == want.witness
@@ -684,7 +704,7 @@ class TestBatchedOracle:
 
     def test_batches_sized_by_touched_wires(self, monkeypatch):
         # a shared start on all 12 wires, then gates on wires 0-9 only:
-        # the states span 10 wires, four to a batch
+        # the states span 10 wires, sixteen to a batch
         shared = [SingleQubit("H", q) for q in range(12)]
         shared += [Controlled("X", (q,), q + 1) for q in range(11)]
         rest = [Controlled("X", (q,), q + 1) for q in range(9)]
@@ -700,11 +720,11 @@ class TestBatchedOracle:
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_run", spy)
-            check_marginal_equiv(c1, c2, wires, wires, samples=9, seed=3)
-        got, _, whole = assert_matches_reference(c1, c2, wires, wires, samples=9, seed=3)
+            check_marginal_equiv(c1, c2, wires, wires, samples=20, seed=3)
+        got, _, whole = assert_matches_reference(c1, c2, wires, wires, samples=20, seed=3)
         assert not got.equivalent and not whole.equivalent
         assert got.witness[1][10:] == "xx"
-        assert [s[-1] for s in shapes[::2]] == [4, 4, 1]
+        assert [s[-1] for s in shapes[::2]] == [16, 4]
         assert {s[:-1] for s in shapes} == {(2,) * 10}
 
     def test_non_frontier_removal_caught(self):
@@ -752,7 +772,7 @@ class TestBatchedOracle:
         same = check_kept(longer, longer, samples=7, seed=2)
         assert same.equivalent and same.max_discrepancy == 0.0
 
-    def test_batches_stay_within_one_capped_state(self, monkeypatch):
+    def test_batches_stay_within_16384_amplitudes(self, monkeypatch):
         sizes = {}
         run = oracle._run
 
@@ -761,14 +781,15 @@ class TestBatchedOracle:
             return run(ops, state)
 
         monkeypatch.setattr(oracle, "_run", spy)
-        for n in range(0, 13):
+        for n in range(0, 15):
             # no shared start, and every wire touched
             c1 = build_circuit(n, [SingleQubit("H", q) for q in range(n)])
             c2 = build_circuit(n, [SingleQubit("X", q) for q in range(n)])
-            check_marginal_equiv(c1, c2, list(range(n)), list(range(n)), samples=25)
-        assert max(sizes.values()) <= 4096
-        # small circuits do run their samples together
-        assert sizes[3] == 8 * 25 and sizes[9] == 512 * 8 and sizes[12] == 4096
+            check_marginal_equiv(c1, c2, list(range(n)), list(range(n)), samples=25, cap=14)
+        # 16384 >> n states to a batch, at least one: up to 9 wires all 25
+        # run together, and from 14 wires up a batch is one state
+        assert sizes == {n: min(25, max(1, 16384 >> n)) << n for n in range(15)}
+        assert max(sizes.values()) == 16384
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_equal_lists_through_swapped_wires(self, n):

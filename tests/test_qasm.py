@@ -87,6 +87,8 @@ REFUSALS = {
                       f"qubit index {NINES} out of range (n=1)"),
     "malformed_measure": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0];"], 5,
                           "malformed measure statement"),
+    "measure_before_qreg": ([*HEAD, "measure q[0] -> c[0];", "qreg q[1];"], 3,
+                           "measure before qreg declaration"),
     "measure_without_creg": ([*HEAD, "qreg q[1];", "measure q[0] -> c[0];"], 4,
                              "expected c[j] measure target"),
     "measure_into_other_register": ([*HEAD, "qreg q[1];", "creg c[1];",
