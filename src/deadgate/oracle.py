@@ -144,29 +144,53 @@ def _controlled_matrix(kind: Controlled) -> np.ndarray:
     return m
 
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
 def _unitary(kind: GateKind, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
     """The gate's matrix; an opaque block's is its binding."""
     if isinstance(kind, SingleQubit):
         return base_matrix(kind.base, kind.params)
     if isinstance(kind, Controlled):
         return _controlled_matrix(kind)
-    if isinstance(kind, Swap):
-        return _SWAP
     return bindings[kind.label]
 
 
-def _compile(
-    gates: Sequence[Gate], bindings: Mapping[str, np.ndarray], axis
-) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Per-gate (unitary, axes) list; wire q is state axis `axis[q]`."""
-    return [
-        (_unitary(g.kind, bindings), tuple(axis[q] for q in g.kind.qubits())) for g in gates
-    ]
+# An op is (matrix, axes), applied by `_apply`, or a slice op, applied in
+# place: ("exchange", (key0, key1)) swaps state[key0] with state[key1], and
+# ("negate", (key,)) negates state[key]. A slice op gives each amplitude
+# exactly as its gate's 0/1 or 0/-1 matrix does, whose products add only
+# exact zeros.
+_Op = tuple[np.ndarray | str, tuple]
+
+
+def _part(ndim: int, axes: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
+    """Index of the part of a state where axis axes[i] reads bits[i]."""
+    key: list = [slice(None)] * ndim
+    for ax, bit in zip(axes, bits):
+        key[ax] = bit
+    return tuple(key)
+
+
+def _compile(gates: Sequence[Gate], bindings: Mapping[str, np.ndarray], axis) -> list[_Op]:
+    """Per-gate op list; wire q is state axis `axis[q]` of a state with
+    len(axis) + 1 axes. A cx or ccx exchanges the target's 0 and 1 parts
+    where every control reads 1, a cz or ccz negates the part where all
+    its wires read 1, and a swap exchanges the parts where its wires read
+    01 and 10. Every other gate is its matrix."""
+    ndim = len(axis) + 1
+    ops: list[_Op] = []
+    for g in gates:
+        kind = g.kind
+        axes = tuple(axis[q] for q in kind.qubits())
+        if isinstance(kind, Swap):
+            op = ("exchange", (_part(ndim, axes, (0, 1)), _part(ndim, axes, (1, 0))))
+        elif isinstance(kind, Controlled) and kind.base == "X":
+            on = (1,) * len(kind.controls)
+            op = ("exchange", (_part(ndim, axes, on + (0,)), _part(ndim, axes, on + (1,))))
+        elif isinstance(kind, Controlled) and kind.base == "Z":
+            op = ("negate", (_part(ndim, axes, (1,) * len(axes)),))
+        else:
+            op = (_unitary(kind, bindings), axes)
+        ops.append(op)
+    return ops
 
 
 def _apply(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -181,10 +205,27 @@ def _apply(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarra
     return np.moveaxis(state, tuple(range(k)), axes)
 
 
-def _run(ops: list[tuple[np.ndarray, tuple[int, ...]]], state: np.ndarray) -> np.ndarray:
-    """Apply the ops to a state of shape (2,)*w + (batch,); axis i is wire i."""
-    for u, axes in ops:
-        state = _apply(state, u, axes)
+def _run(ops: list[_Op], state: np.ndarray) -> np.ndarray:
+    """Apply the ops to a state of shape (2,)*w + (batch,); axis i is wire i.
+
+    A matrix op returns a new array; a slice op writes in place, into a
+    copy taken first unless an earlier op already made a new array, so
+    the caller's state is never written: both circuits start from it.
+    """
+    own = False
+    for how, where in ops:
+        if not isinstance(how, str):
+            state, own = _apply(state, how, where), True
+            continue
+        if not own:
+            state, own = state.copy(), True
+        # no view outlives its statement: one would keep the array it
+        # views alive after a later matrix op replaces it
+        if how == "negate":
+            np.negative(state[where[0]], out=state[where[0]])
+        else:
+            key0, key1 = where
+            state[key0], state[key1] = state[key1], state[key0].copy()
     return state
 
 

@@ -57,7 +57,8 @@ _KEYWORDS = {"OPENQASM", "include", "qreg", "creg", "opaque", "measure"}
 MAX_REGISTER = 65536
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_REF = re.compile(rf"({_NAME})\s*\[\s*(\d+)\s*\]")  # registers and q[i], c[j]
+# digits are ASCII: in a str pattern \d matches every Unicode decimal digit
+_REF = re.compile(rf"({_NAME})\s*\[\s*([0-9]+)\s*\]")  # registers and q[i], c[j]
 # a gate's parameters run to the last ')', as qubit arguments have none
 _GATE = re.compile(rf"({_NAME})\s*(?:\((.*)\))?(.*)")
 _HEADER = re.compile(r"OPENQASM\s+2\.0")
@@ -66,8 +67,9 @@ _OPAQUE = re.compile(rf"opaque\s+({_NAME})\s+(.+)")
 _FORMALS = re.compile(rf"{_NAME}(?:\s*,\s*{_NAME})*")
 _MEASURE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)")
 _PRAGMA = re.compile(r"#pragma\s+dge\s+discard\s+(.+)")
-_ANGLE_TOKEN = re.compile(r"pi|\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
-                          r"|\d+(?:[eE][-+]?\d+)?|[()+\-*/]|\S")
+_NUMBER = re.compile(r"[0-9]+\.[0-9]*(?:[eE][-+]?[0-9]+)?|\.[0-9]+(?:[eE][-+]?[0-9]+)?"
+                     r"|[0-9]+(?:[eE][-+]?[0-9]+)?")
+_ANGLE_TOKEN = re.compile(rf"pi|{_NUMBER.pattern}|[()+\-*/]|\S")
 
 
 class QasmError(ValueError):
@@ -178,11 +180,10 @@ class _AngleParser:
             return -val if tok == "-" else val
         if tok == "pi":
             return math.pi
-        try:
-            val = float(tok)
-        except ValueError:
-            raise self.fail() from None
-        return self.finite(val)
+        # float() would also read a lone non-ASCII digit, which \S yields
+        if not _NUMBER.fullmatch(tok):
+            raise self.fail()
+        return self.finite(float(tok))
 
 
 def _parse_angles(text: str, line: int, known: dict[str, float]) -> tuple[float, ...]:

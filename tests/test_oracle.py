@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from deadgate import (
     Circuit,
     CircuitError,
     Controlled,
+    Gate,
     Opaque,
     RuleFlags,
     SingleQubit,
@@ -124,6 +126,81 @@ class TestApply:
                 got = oracle._apply(given_state, u, (q,))
                 assert got.shape == shape
                 assert np.abs(got - want).max() <= 1e-12
+
+
+# cx, ccx, cz, ccz and swap on every placement over four wires: control
+# above and below the target, both orders of two controls, either wire first
+SLICE_WIDTH = 4
+SLICE_GATES = {
+    "cx": [Controlled("X", (c,), t) for c, t in itertools.permutations(range(SLICE_WIDTH), 2)],
+    "ccx": [Controlled("X", (a, b), t)
+            for a, b, t in itertools.permutations(range(SLICE_WIDTH), 3)],
+    "cz": [Controlled("Z", (c,), t) for c, t in itertools.permutations(range(SLICE_WIDTH), 2)],
+    "ccz": [Controlled("Z", (a, b), t)
+            for a, b, t in itertools.permutations(range(SLICE_WIDTH), 3)],
+    "swap": [Swap(a, b) for a, b in itertools.permutations(range(SLICE_WIDTH), 2)],
+}
+
+
+def exact_matrix(kind) -> np.ndarray:
+    """The 0/1 or 0/-1 matrix of a cx, ccx, cz, ccz or swap over its wires
+    in `qubits()` order, controls first."""
+    m = np.eye(2 ** len(kind.qubits()), dtype=complex)
+    if isinstance(kind, Swap):
+        return m[[0, 2, 1, 3]]
+    if kind.base == "X":
+        m[-2:] = m[[-1, -2]]
+    else:
+        m[-1, -1] = -1
+    return m
+
+
+def amplitude_bits(state) -> list[str]:
+    """Every real and imaginary part, in index order, as `float.hex`."""
+    return [x.hex() for x in np.ravel(state).view(np.float64).tolist()]
+
+
+def random_batch(rng, width: int, batch: int) -> np.ndarray:
+    shape = (2,) * width + (batch,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSliceOps:
+    """cx, ccx, cz, ccz and swap compile to ops that move or negate parts
+    of the state in place; each amplitude must come out bit for bit as the
+    tensordot of the gate's own matrix gives it."""
+
+    @pytest.mark.parametrize("batch", [1, 20])
+    @pytest.mark.parametrize("name", SLICE_GATES)
+    def test_equals_tensordot_of_its_matrix(self, name, batch):
+        rng = np.random.default_rng([list(SLICE_GATES).index(name), batch])
+        state = random_batch(rng, SLICE_WIDTH, batch)
+        # the strided layout a multi-qubit gate's moveaxis leaves
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(state, -1, 0)), 0, -1)
+        axis = {q: q for q in range(SLICE_WIDTH)}
+        for kind in SLICE_GATES[name]:
+            ops = oracle._compile([Gate(kind)], {}, axis)
+            assert isinstance(ops[0][0], str), "compiled to a matrix, not a slice op"
+            axes = kind.qubits()
+            k = len(axes)
+            m = exact_matrix(kind).reshape((2,) * (2 * k))
+            want = np.tensordot(m, state, axes=(tuple(range(k, 2 * k)), axes))
+            want = amplitude_bits(np.moveaxis(want, tuple(range(k)), axes))
+            for given_state in (state, strided):
+                assert amplitude_bits(oracle._run(ops, given_state)) == want, kind
+
+    @pytest.mark.parametrize("name", SLICE_GATES)
+    def test_input_left_unwritten(self, name):
+        # both circuits of a check start from one input batch; each gate is
+        # its own inverse, so applying it twice gives the input back
+        state = random_batch(np.random.default_rng(5), SLICE_WIDTH, 3)
+        before = amplitude_bits(state)
+        kind = SLICE_GATES[name][-1]
+        ops = oracle._compile([Gate(kind)] * 2, {}, {q: q for q in range(SLICE_WIDTH)})
+        got = oracle._run(ops, state)
+        assert amplitude_bits(state) == before
+        assert not np.shares_memory(got, state)
+        assert amplitude_bits(got) == before
 
 
 def state_marginal(amps, n, axes) -> np.ndarray:

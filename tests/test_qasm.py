@@ -65,6 +65,11 @@ REFUSALS = {
                   f"qreg size {NINES} above the maximum of 65536"),
     "long_creg": ([*HEAD, "qreg q[1];", f"creg c[{NINES}];"], 4,
                   f"creg size {NINES} above the maximum of 65536"),
+    # digits are ASCII: Arabic-Indic two (U+0662) and fullwidth one (U+FF11)
+    # are decimal digits to \d and int() alike
+    "arabic_indic_qreg_size": ([*HEAD, "qreg q[\u0662];"], 3, "malformed qreg declaration"),
+    "fullwidth_creg_size": ([*HEAD, "qreg q[1];", "creg c[\uff11];"], 4,
+                            "malformed creg declaration"),
     "second_qreg": ([*HEAD, "qreg q[1];", "qreg r[1];"], 4, "only one qreg is supported"),
     "second_creg": ([*HEAD, "qreg q[1];", "creg c[1];", "creg d[1];"], 5,
                     "only one creg is supported"),
@@ -83,6 +88,10 @@ REFUSALS = {
     "other_register": ([*HEAD, "qreg q[1];", "h r[0];"], 4, "expected q[i], got 'r[0]'"),
     "qubit_out_of_range": ([*HEAD, "qreg q[2];", "h q[2];"], 4,
                            "qubit index 2 out of range (n=2)"),
+    "arabic_indic_index": ([*HEAD, "qreg q[2];", "h q[\u0661];"], 4,
+                           "expected q[i], got 'q[\u0661]'"),
+    "fullwidth_index": ([*HEAD, "qreg q[2];", "cx q[0],q[\uff11];"], 4,
+                        "expected q[i], got 'q[\uff11]'"),
     "long_gate_arg": ([*HEAD, "qreg q[1];", f"h q[{NINES}];"], 4,
                       f"qubit index {NINES} out of range (n=1)"),
     "malformed_measure": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0];"], 5,
@@ -93,6 +102,9 @@ REFUSALS = {
                              "expected c[j] measure target"),
     "measure_into_other_register": ([*HEAD, "qreg q[1];", "creg c[1];",
                                      "measure q[0] -> d[0];"], 5,
+                                    "expected c[j] measure target"),
+    "arabic_indic_measure_target": ([*HEAD, "qreg q[1];", "creg c[1];",
+                                     "measure q[0] -> c[\u0660];"], 5,
                                     "expected c[j] measure target"),
     "clbit_out_of_range": ([*HEAD, "qreg q[1];", "creg c[1];", "measure q[0] -> c[1];"], 5,
                            "classical bit 1 out of range (m=1)"),
@@ -136,6 +148,13 @@ REFUSALS = {
     "angle_unclosed_paren": ([*HEAD, "qreg q[1];", "rz((1 2) q[0];"], 4,
                              "cannot parse angle '(1 2'"),
     "angle_not_a_number": ([*HEAD, "qreg q[1];", "rz(x) q[0];"], 4, "cannot parse angle 'x'"),
+    # float() reads a non-ASCII digit, which the tokenizer yields alone
+    "angle_arabic_indic_digit": ([*HEAD, "qreg q[1];", "rz(\u0661.5) q[0];"], 4,
+                                 "cannot parse angle '\u0661.5'"),
+    "angle_fullwidth_digit": ([*HEAD, "qreg q[1];", "rz(\uff11) q[0];"], 4,
+                              "cannot parse angle '\uff11'"),
+    "angle_arabic_indic_exponent": ([*HEAD, "qreg q[1];", "rz(pi*1e\u0663) q[0];"], 4,
+                                    "cannot parse angle 'pi*1e\u0663'"),
     "angle_division_by_zero": ([*HEAD, "qreg q[1];", "rz(pi/0) q[0];"], 4,
                                "cannot parse angle 'pi/0': division by zero"),
     "angle_huge_literal": ([*HEAD, "qreg q[1];", "rz(1e400) q[0];"], 4,
